@@ -14,7 +14,6 @@ from .exactnum import (
     SixthPowerClass,
     is_kth_power,
     is_square_or_neg3_square,
-    rational,
     sixth_power_class,
 )
 from .funcfield import Poly, RatFunc, parse_point, parse_ratfunc
@@ -53,7 +52,6 @@ __all__ = [
     "SixthPowerClass",
     "is_kth_power",
     "is_square_or_neg3_square",
-    "rational",
     "sixth_power_class",
     "Poly",
     "RatFunc",

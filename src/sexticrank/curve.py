@@ -226,9 +226,6 @@ class FunctionFieldCurve:
         y3 = lam * (x1 - x3) - y1
         return CurvePoint(x3, y3)
 
-    def sub(self, P: CurvePoint, Q: CurvePoint) -> CurvePoint:
-        return self.add(P, self.negate(Q))
-
     def scalar_mul(self, n: int, P: CurvePoint) -> CurvePoint:
         if n < 0:
             return self.negate(self.scalar_mul(-n, P))

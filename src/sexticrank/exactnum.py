@@ -1,6 +1,7 @@
 """Exact arithmetic on Q and Q(sqrt(-3)).
 
-Rationals are stdlib ``fractions.Fraction`` (re-exported as ``Rational``);
+Rationals are stdlib ``fractions.Fraction`` (re-exported as ``Rational``),
+read from text only in the integer-or-p/q grammar of ``parse_rational``;
 on top of that this module provides perfect-power detection, the
 square-or-(-3)-times-square trichotomy, canonical sixth-power residue
 classes, and the quadratic extension Q(sqrt(-3)) needed for Galois
@@ -11,6 +12,7 @@ exact answer or raises a typed error, never a heuristic guess.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
@@ -19,7 +21,7 @@ RationalLike = Union[int, Fraction]
 
 __all__ = [
     "Rational",
-    "rational",
+    "parse_rational",
     "is_kth_power",
     "SquareTest",
     "is_square_or_neg3_square",
@@ -34,12 +36,18 @@ __all__ = [
 ]
 
 
-def rational(numerator: int, denominator: int = 1) -> Fraction:
-    """Build a canonical rational: reduced, sign on the numerator.
+_RATIONAL = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
-    Raises ZeroDivisionError for a zero denominator.
-    """
-    return Fraction(numerator, denominator)
+
+def parse_rational(text: str) -> Fraction:
+    """Exact rational literal: an integer or p/q.  No floats; ValueError
+    for anything else, including a zero denominator."""
+    if not _RATIONAL.match(text):
+        raise ValueError(f"{text!r} is not an integer or p/q rational literal")
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"{text!r} has a zero denominator")
 
 
 # ---------------------------------------------------------------------------

@@ -184,14 +184,6 @@ class Poly:
             acc = acc * v + c
         return acc
 
-    def compose(self, inner: "Poly") -> "Poly":
-        if not self.coeffs:
-            return Poly([], self.field)
-        acc = Poly.constant(self.coeffs[-1], self.field)
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * inner + c
-        return acc
-
     def derivative(self) -> "Poly":
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:], self.field)
 

@@ -27,6 +27,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .exactnum import (
+    FactorBudgetExceeded,
     SixthPowerClass,
     is_kth_power,
     is_square_or_neg3_square,
@@ -110,16 +111,17 @@ def rank_breakdown(A, B) -> RankBreakdown:
 
 
 def breakdown_to_json(bd: RankBreakdown) -> dict:
-    """JSON form of a breakdown, including the canonical classes."""
+    """JSON form of a breakdown, including the canonical classes; a class
+    whose factorisation runs out of budget is null, with a reason."""
 
     def frac(x):
         return None if x is None else str(x)
 
-    return {
+    data = {
         "A": str(bd.A),
         "B": str(bd.B),
-        "A_class": int(sixth_power_class(bd.A).rep),
-        "B_class": int(sixth_power_class(bd.B).rep),
+        "A_class": None,
+        "B_class": None,
         "r": list(bd.r),
         "rank": bd.rank,
         "reasons": [
@@ -136,6 +138,12 @@ def breakdown_to_json(bd: RankBreakdown) -> dict:
             for c in bd.reasons
         ],
     }
+    for name, value in (("A", bd.A), ("B", bd.B)):
+        try:
+            data[f"{name}_class"] = int(sixth_power_class(value).rep)
+        except FactorBudgetExceeded as exc:
+            data[f"{name}_class_reason"] = str(exc)
+    return data
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import jsonschema
 import pytest
 
 from sexticrank.cli import main
+from sexticrank.generators import certificate_to_json, full_certificate
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 
@@ -200,3 +202,93 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "rank = 3" in proc.stdout
+
+
+UNFACTORABLE = "10000000000000000000000083000000000000000000000091"
+
+
+def test_rank_unfactorable_class_is_null_with_reason(capsys):
+    assert run_cli(["rank", UNFACTORABLE, "5", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    jsonschema.validate(data, load_schema("breakdown.schema.json"))
+    assert data["A_class"] is None and UNFACTORABLE in data["A_class_reason"]
+    assert data["B_class"] == 5 and "B_class_reason" not in data
+    assert run_cli(["rank", UNFACTORABLE, "5"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"A = {UNFACTORABLE} (class unknown), B = 5 (class 5)"
+    assert out[1] == f"A class unknown: {data['A_class_reason']}"
+
+
+#: sha256 of the stdout of `certify A B --format json`
+PINNED_CERTIFICATE_SHA256 = {
+    (8, 9): "f3cc6ba2c1a6ff912ee8b5bd38540f0da6ede950d1794d28b361f65d063903f5",
+    (-3, 1): "7171d69028b01cd69ef8e4dee8e3f325663d946215e93bec3a6f4ca3be5a73db",
+    (4, 4): "dc759d59b3085bf07943dd59a6132d233857e951494e50747df4a4be836a5be4",
+    (1, 16): "69bd0b3943c4149f6725d3fd8765257729a1aebb0d0141eea08e3e721ea25e92",
+    (-27, -432):
+        "bbbce7068680956fe3e65205e78ba3e72b696b7743782f45b862ed8dabb4bf48",
+}
+
+
+@pytest.mark.parametrize("A,B", list(PINNED_CERTIFICATE_SHA256))
+def test_certify_json_bytes_pinned(A, B, capsys):
+    assert run_cli(["certify", str(A), str(B), "--format", "json"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == PINNED_CERTIFICATE_SHA256[(A, B)]
+
+
+@pytest.fixture(scope="module")
+def cert_1_16():
+    return certificate_to_json(full_certificate(1, 16))
+
+
+def verify_in_subprocess(tmp_path, data):
+    """certify --verify on data in a fresh interpreter, 30 s at most;
+    returns the names of the failed checks."""
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(data))
+    proc = subprocess.run(
+        [sys.executable, "-m", "sexticrank.cli", "certify", "--verify",
+         str(path)],
+        capture_output=True, text=True, timeout=30)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 1
+    lines = proc.stdout.splitlines()
+    assert lines[-1] == "certificate DOES NOT verify"
+    return [line[len("FAIL "):] for line in lines if line.startswith("FAIL ")]
+
+
+def _with(key, value, witness=None):
+    def mutate(data):
+        data = json.loads(json.dumps(data))
+        (data if witness is None else data["witnesses"][witness])[key] = value
+        return data
+    return mutate
+
+
+def _without_witnesses(data):
+    return {key: v for key, v in data.items() if key != "witnesses"}
+
+
+@pytest.mark.parametrize("tamper,k", [
+    (_with("A", "2"), 1),
+    (_with("embedded_point", "(t^2, t^3 + 1)", witness=2), 4),
+], ids=["A-changed", "embedded-point-off-curve"])
+def test_verify_off_curve_tamper_ends_quickly(tamper, k, cert_1_16, tmp_path):
+    failures = verify_in_subprocess(tmp_path, tamper(cert_1_16))
+    assert f"k={k}: embedded point on sextic curve" in failures
+    assert f"k={k}: multiples 1..6 all nonzero" in failures
+
+
+@pytest.mark.parametrize("mutate,named", [
+    (_without_witnesses, "no field 'witnesses'"),
+    (lambda data: [data], "no field 'A'"),
+    (_with("A", "0"), "nonzero"),
+    (_with("A", "1.5"), "'1.5' is not an integer or p/q rational literal"),
+    (_with("k", "one", witness=0), "field 'k' is 'one'"),
+    (_with("k", 7, witness=0), "field 'k' is 7"),
+], ids=["no-witnesses", "list", "A-zero", "A-decimal", "k-one", "k-seven"])
+def test_verify_malformed_certificate_is_a_named_failure(mutate, named,
+                                                         cert_1_16, tmp_path):
+    failures = verify_in_subprocess(tmp_path, mutate(cert_1_16))
+    assert any(named in name for name in failures), failures

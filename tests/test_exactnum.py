@@ -15,7 +15,6 @@ from sexticrank.exactnum import (
     is_kth_power,
     is_square_in_ext,
     is_square_or_neg3_square,
-    rational,
     sixth_power_class,
 )
 
@@ -103,13 +102,6 @@ def test_factorint_budget_error_is_typed():
     n = (10 ** 59 + 213) * (10 ** 59 + 223)
     with pytest.raises(FactorBudgetExceeded):
         factorint(n, rho_budget=10)
-
-
-def test_rational_constructor():
-    assert rational(4, 6) == Fraction(2, 3)
-    assert rational(3, -6) == Fraction(-1, 2)
-    with pytest.raises(ZeroDivisionError):
-        rational(1, 0)
 
 
 # -- brute-force oracle for squares in Q(sqrt(-3)) --------------------------

@@ -271,3 +271,10 @@ def test_generator_iff_criterion(pair):
         W = base_change_embed(w.point, (comp.k, 1), (0, 6))
         assert E.contains(W)
         assert eigenspace_check(A, B, comp.k, W)
+
+
+@pytest.mark.parametrize("A,B,rank,ks,descents", CERT_CASES)
+def test_verify_check_names_equal_stored_names(A, B, rank, ks, descents):
+    data = certificate_to_json(full_certificate(A, B))
+    report = verify_certificate_json(json.loads(json.dumps(data)))
+    assert [c.name for c in report.checks] == [c["name"] for c in data["checks"]]
