@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 a verification or consistency failure,
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -47,8 +48,18 @@ def positive_int(text: str) -> int:
     return n
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """ArgumentParser that reads "-p/q", like "-5", as a negative number
+    rather than an option, so it can be given as A or B.  argparse has no
+    public hook for this; its own pattern accepts only "-5" and "-.5"."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\d+(?:/\d+)?$")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="sexticrank",
         description="Exact Mordell-Weil rank of y^2 = x^3 + A*t^6 + B "
                     "over Q(t), with certificates.")

@@ -285,8 +285,10 @@ class FunctionFieldCurve:
     def point_substitute(self, P: CurvePoint, inner: RatFunc) -> CurvePoint:
         """Substitute the curve parameter in both coordinates.
 
-        The result lies on this curve again whenever C(inner) = C, as
-        for inner = ZETA6*t here; callers verify membership.
+        inner must be a Laurent monomial c*t^d with d != 0 (see
+        RatFunc.substitute; anything else raises ValueError).  The
+        result lies on this curve again whenever C(inner) = C, as for
+        inner = ZETA6*t here; callers verify membership.
         """
         if P.is_infinity:
             return P

@@ -82,6 +82,12 @@ class Poly:
             return self.coeffs[k]
         return self.field(0)
 
+    def monomial_degree(self) -> Optional[int]:
+        """k when self is c*t^k with c nonzero, otherwise None."""
+        if not self.coeffs or any(self.coeffs[:-1]):
+            return None
+        return self.degree
+
     def root_multiplicity_at_zero(self) -> int:
         """Order of vanishing at t = 0 (0 for nonzero constant term)."""
         if not self.coeffs:
@@ -267,7 +273,12 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 class RatFunc:
     """Quotient of two polynomials, kept in lowest terms with monic
-    denominator so equality is literal equality."""
+    denominator so equality is literal equality.
+
+    A denominator c*t^k (k >= 0) is reduced by cancelling the common
+    power of t, with no gcd; any other denominator goes through
+    :func:`poly_gcd`.  Both give the same normal form.
+    """
 
     __slots__ = ("num", "den")
 
@@ -278,9 +289,18 @@ class RatFunc:
             raise ZeroDivisionError("zero denominator")
         if num.field is not den.field:
             raise TypeError("numerator and denominator over different fields")
-        g = poly_gcd(num, den)
-        if not g.is_zero() and g.degree > 0:
-            num, den = num // g, den // g
+        if den.monomial_degree() is not None:
+            # den = c*t^k: the gcd is a power of t, cancelled by slicing
+            m = den.degree
+            if num:
+                m = min(m, num.root_multiplicity_at_zero())
+            if m:
+                num = Poly(num.coeffs[m:], num.field)
+                den = Poly(den.coeffs[m:], den.field)
+        else:
+            g = poly_gcd(num, den)
+            if g.degree > 0:
+                num, den = num // g, den // g
         lead = den.leading()
         if lead != den.field(1):
             inv = den.field(1) / lead
@@ -396,10 +416,32 @@ class RatFunc:
         return self.num.evaluate(v) / dv
 
     def substitute(self, inner: "RatFunc") -> "RatFunc":
-        """The composite self(inner(t)), e.g. inner = 1/t or t^2."""
-        n = _poly_at_ratfunc(self.num, inner)
-        d = _poly_at_ratfunc(self.den, inner)
-        return n / d
+        """The composite self(inner(t)) for a Laurent monomial inner =
+        c*t^d with d != 0, e.g. ZETA6*t, t^6 or 1/t.
+
+        The t^i coefficient is scaled by c^i and moved to t^(d*i); for
+        d < 0 the powers of t move into the denominator.  Any other
+        inner raises ValueError.  The result is over inner's field.
+        """
+        a, b = inner.num.monomial_degree(), inner.den.monomial_degree()
+        if a is None or b is None or a == b:
+            raise ValueError(
+                f"can only substitute c*t^d with d != 0, not {inner}")
+        c, d, field = inner.num.leading(), a - b, inner.field
+
+        def spread(p: Poly):
+            """(q, k) with p(c*t^d) = q * t^k and q a polynomial."""
+            k = min(0, d * p.degree)
+            out = [field(0)] * (abs(d) * p.degree + 1)
+            ci = field(1)
+            for i, coeff in enumerate(p.coeffs):
+                out[d * i - k] = coeff * ci
+                ci = ci * c
+            return Poly(out, field), k
+
+        (num, kn), (den, kd) = spread(self.num), spread(self.den)
+        shift = Poly.monomial(1, abs(kn - kd), field)
+        return RatFunc(num * shift, den) if kn > kd else RatFunc(num, den * shift)
 
     # -- plumbing ----------------------------------------------------------------
 
@@ -431,25 +473,6 @@ class RatFunc:
         return f"{ns}/({ds})"
 
 
-def _poly_at_ratfunc(p: Poly, inner: RatFunc) -> RatFunc:
-    acc = RatFunc.constant(0, inner.field)
-    for c in reversed(p.coeffs):
-        acc = acc * inner + _lift_value(c, inner.field)
-    return acc
-
-
-def _lift_value(c, field):
-    if isinstance(c, field):
-        return c
-    if field is QuadExt:
-        return QuadExt(c)
-    if field is Fraction and isinstance(c, QuadExt):
-        if not c.is_rational():
-            raise TypeError(f"{c} is not rational")
-        return c.a
-    return field(c)
-
-
 def lift_to_ext(f: RatFunc) -> RatFunc:
     """View a rational-coefficient function over Q(sqrt(-3))."""
     if f.field is QuadExt:
@@ -477,6 +500,21 @@ def restrict_to_rational(f: RatFunc) -> RatFunc:
 # ---------------------------------------------------------------------------
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_]\w*)|([-+*/^(),]))")
+
+#: largest numerator or denominator degree, and exponent, that the parser
+#: builds; certificate points need at most 18
+MAX_PARSE_DEGREE = 64
+
+
+def _check_degree(bound: int):
+    """Refuse, before computing it, a result whose degree may pass the cap."""
+    if bound > MAX_PARSE_DEGREE:
+        raise ValueError(f"degree or exponent {bound} is above the parser's limit "
+                         f"of {MAX_PARSE_DEGREE}")
+
+
+def _size(f: RatFunc) -> int:
+    return max(f.num.degree, f.den.degree)
 
 
 class _Parser:
@@ -533,6 +571,7 @@ class _Parser:
             if kind == "op" and op in "+-":
                 self.pos += 1
                 w = self.term()
+                _check_degree(_size(v) + _size(w))
                 v = v + w if op == "+" else v - w
             else:
                 return v
@@ -544,6 +583,7 @@ class _Parser:
             if kind == "op" and op in "*/":
                 self.pos += 1
                 w = self.unary()
+                _check_degree(_size(v) + _size(w))
                 v = v * w if op == "*" else v / w
             else:
                 return v
@@ -567,6 +607,7 @@ class _Parser:
         if kind == "op" and op == "^":
             self.pos += 1
             n = self.exponent()
+            _check_degree(abs(n) * max(_size(v), 1))
             v = v ** n
         return v
 

@@ -186,6 +186,9 @@ def base_change_embed(P: CurvePoint, source, target) -> CurvePoint:
     substitution is followed by the twist (x, y) -> (x/u^2e, y/u^3e)
     with e = (d k - K)/6, which must be an integer for the map to
     exist.  target (0, 6) is the embedding into the sextic curve.
+    Both steps are monomial maps: the substitution spreads the
+    coefficients to every d-th index and the twist divides by a power
+    of u, so a point over a monomial denominator stays over one.
     """
     k, m = source
     K, M = target

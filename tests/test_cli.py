@@ -78,6 +78,25 @@ def test_rank_accepts_fraction_literals(capsys):
     assert "rank = 3" in capsys.readouterr().out
 
 
+def test_rank_accepts_negative_fraction_literals(capsys):
+    # (-27, -432) rescaled by sixth powers: A*(1/2)^6, B*(2/3)^6
+    assert run_cli(["rank", "-27/64", "-16/27", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["A"], data["B"], data["rank"]) == ("-27/64", "-16/27", 3)
+
+
+def test_certify_accepts_negative_fraction_literals(capsys):
+    assert run_cli(["certify", "-27/64", "-16/27", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert (data["A"], data["B"], data["rank"]) == ("-27/64", "-16/27", 3)
+
+
+def test_oracle_accepts_negative_fraction_literals(capsys):
+    assert run_cli(["oracle", "-1/8", "9", "--k", "2", "--height", "6"]) == 0
+    out = capsys.readouterr().out
+    assert "k=2: criterion holds, search found 1 point(s), agrees" in out
+
+
 def test_certify_text_known_witness(capsys):
     assert run_cli(["certify", "8", "9"]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -278,6 +297,14 @@ def test_verify_off_curve_tamper_ends_quickly(tamper, k, cert_1_16, tmp_path):
     failures = verify_in_subprocess(tmp_path, tamper(cert_1_16))
     assert f"k={k}: embedded point on sextic curve" in failures
     assert f"k={k}: multiples 1..6 all nonzero" in failures
+
+
+@pytest.mark.parametrize("point", ["((s+1)^100000, s + 8)", "(s^20000, s + 8)"])
+def test_verify_huge_degree_point_ends_quickly(point, cert_1_16, tmp_path):
+    failures = verify_in_subprocess(
+        tmp_path, _with("subfamily_point", point, witness=0)(cert_1_16))
+    assert any("parse/verify error" in name and "limit" in name
+               for name in failures), failures
 
 
 @pytest.mark.parametrize("mutate,named", [

@@ -1,11 +1,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sexticrank.curve import ZETA6
 from sexticrank.exactnum import OMEGA, QuadExt
 from sexticrank.funcfield import (
+    MAX_PARSE_DEGREE,
     Poly,
     RatFunc,
     lift_to_ext,
@@ -19,6 +21,10 @@ frac = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 polys = st.lists(frac, min_size=0, max_size=6).map(Poly)
 nonzero_polys = polys.filter(lambda p: not p.is_zero())
 ratfuncs = st.tuples(polys, nonzero_polys).map(lambda nd: RatFunc(*nd))
+nonzero_frac = frac.filter(bool)
+quad = st.builds(QuadExt, frac, frac)
+quad_polys = st.lists(quad, min_size=0, max_size=6).map(
+    lambda cs: Poly(cs, QuadExt))
 
 
 # -- display form -------------------------------------------------------------
@@ -84,6 +90,17 @@ def test_parse_point():
         parse_point("t^2 - 1")
 
 
+def test_parse_degree_cap():
+    cap = MAX_PARSE_DEGREE
+    assert parse_ratfunc(f"t^{cap}") == RatFunc(Poly.monomial(1, cap))
+    assert parse_ratfunc(f"1/t^{cap}") == RatFunc(Poly([1]), Poly.monomial(1, cap))
+    for text in [f"t^{cap + 1}", f"t^-{cap + 1}", f"(t^2 + 1)^{cap // 2 + 1}",
+                 f"2^{cap + 1}", f"t^{cap} * t", f"t^{cap}/(t + 1)",
+                 f"t^{cap} + 1/t", "(s + 1)^100000"]:
+        with pytest.raises(ValueError, match="limit"):
+            parse_ratfunc(text)
+
+
 # -- algebra -------------------------------------------------------------------
 
 def test_divmod():
@@ -112,6 +129,17 @@ def test_substitute_power():
     f = RatFunc(Poly([0, 1]), Poly([1, 1]))  # t/(t+1)
     sq = RatFunc(Poly([0, 0, 1]))
     assert f.substitute(sq) == RatFunc(Poly([0, 0, 1]), Poly([1, 0, 1]))
+
+
+@pytest.mark.parametrize("inner", [
+    RatFunc(Poly([1, 1])),                 # t + 1
+    RatFunc(Poly([2])),                    # a constant
+    RatFunc(Poly([0, 1]), Poly([1, 1])),   # t/(t + 1)
+])
+def test_substitute_rejects_non_monomial_inner(inner):
+    f = RatFunc(Poly([1, 0, 1]))
+    with pytest.raises(ValueError):
+        f.substitute(inner)
 
 
 def test_evaluate():
@@ -187,3 +215,48 @@ def test_ratfunc_field_ops(f, g):
 def test_compose_with_identity(f):
     t = RatFunc.variable()
     assert f.substitute(t) == f
+
+
+def reference_normal_form(num, den):
+    """Lowest terms by the general gcd, then a monic denominator."""
+    g = poly_gcd(num, den)
+    num, den = num // g, den // g
+    inv = den.field(1) / den.leading()
+    return num * inv, den * inv
+
+
+@given(polys, nonzero_frac, st.integers(0, 8))
+def test_monomial_denominator_normal_form(num, c, k):
+    den = Poly.monomial(c, k)
+    f = RatFunc(num, den)
+    assert (f.num, f.den) == reference_normal_form(num, den)
+
+
+@given(quad_polys, st.integers(0, 8))
+def test_monomial_denominator_normal_form_over_ext(num, k):
+    den = Poly.monomial(ZETA6, k, QuadExt)
+    f = RatFunc(num, den)
+    assert (f.num, f.den) == reference_normal_form(num, den)
+
+
+@given(ratfuncs, nonzero_frac, st.integers(-3, 6).filter(bool), nonzero_frac)
+def test_substitute_laurent_monomial(f, c, d, v):
+    inner = RatFunc(Poly([c])) * RatFunc.variable() ** d
+    try:
+        expected = f.evaluate(c * v ** d)
+    except ZeroDivisionError:
+        assume(False)
+    assert f.substitute(inner).evaluate(v) == expected
+
+
+@given(ratfuncs, st.integers(-3, 6).filter(bool), nonzero_frac)
+@settings(max_examples=50)
+def test_substitute_zeta6_power(f, d, v):
+    g = lift_to_ext(f)
+    inner = RatFunc(Poly([ZETA6], QuadExt)) * RatFunc.variable(QuadExt) ** d
+    w = QuadExt(v)
+    try:
+        expected = g.evaluate(ZETA6 * w ** d)
+    except ZeroDivisionError:
+        assume(False)
+    assert g.substitute(inner).evaluate(w) == expected
