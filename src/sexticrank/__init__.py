@@ -23,7 +23,6 @@ from .rankalg import (
     RankBreakdown,
     breakdown_to_json,
     census_rows,
-    classification_consistency,
     classify,
     normalize_pair,
     rank_breakdown,
@@ -65,7 +64,6 @@ __all__ = [
     "RankBreakdown",
     "breakdown_to_json",
     "census_rows",
-    "classification_consistency",
     "classify",
     "normalize_pair",
     "rank_breakdown",

@@ -198,7 +198,11 @@ class FunctionFieldCurve:
             return True
         if P.x.field is not self.field:
             return False
-        return P.y * P.y - P.x ** 3 - self.C == 0
+        # y^2 = x^3 + C with denominators cleared: Poly products only, no
+        # gcd, so large coprime denominators cannot stall the test
+        (xn, xd), (yn, yd), (cn, cd) = ((f.num, f.den) for f in (P.x, P.y, self.C))
+        xd3 = xd * xd * xd
+        return yn * yn * xd3 * cd == (xn * xn * xn * cd + cn * xd3) * yd * yd
 
     def require_on_curve(self, P: CurvePoint):
         if not self.contains(P):

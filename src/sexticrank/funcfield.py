@@ -504,6 +504,9 @@ _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_]\w*)|([-+*/^(),]))")
 #: largest numerator or denominator degree, and exponent, that the parser
 #: builds; certificate points need at most 18
 MAX_PARSE_DEGREE = 64
+#: largest coefficient size in bits that the parser lets a power reach;
+#: the display form raises only the variable to a power
+MAX_PARSE_BITS = 1 << 16
 
 
 def _check_degree(bound: int):
@@ -513,8 +516,23 @@ def _check_degree(bound: int):
                          f"of {MAX_PARSE_DEGREE}")
 
 
+def _check_bits(bound: int):
+    if bound > MAX_PARSE_BITS:
+        raise ValueError(f"power with coefficients of up to {bound} bits is above "
+                         f"the parser's limit of {MAX_PARSE_BITS}")
+
+
 def _size(f: RatFunc) -> int:
     return max(f.num.degree, f.den.degree)
+
+
+def _bits(p: Poly) -> int:
+    """A count b such that the numerator and denominator of every
+    coefficient part of p^n together have at most n*b bits: the bits of
+    all of p's coefficient parts, plus the growth from summing products."""
+    return len(p.coeffs).bit_length() + 2 + sum(
+        part.numerator.bit_length() + part.denominator.bit_length()
+        for c in p.coeffs for part in (c.a, c.b))
 
 
 class _Parser:
@@ -608,6 +626,7 @@ class _Parser:
             self.pos += 1
             n = self.exponent()
             _check_degree(abs(n) * max(_size(v), 1))
+            _check_bits(abs(n) * (_bits(v.num) + _bits(v.den)))
             v = v ** n
         return v
 

@@ -15,13 +15,15 @@ and 4AB cannot all be cubes, since 4 is not one).
 ``classify`` answers the same question by a different route: it
 reduces (A, B) to canonical sixth-power-free integers via
 factorization and reads the rank off a finite list of residue-class
-cases.  ``classification_consistency`` exhaustively compares the two
-routes over a census of canonical pairs.
+cases (``_case``).  ``census_rows`` runs both routes on every canonical
+pair up to a bound, one TSV row per pair; ``sexticrank census`` folds
+the rows into a rank histogram and counts the pairs where they agree.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -42,8 +44,6 @@ __all__ = [
     "normalize_pair",
     "Classification",
     "classify",
-    "CensusResult",
-    "classification_consistency",
     "census_rows",
     "sixth_power_free_values",
     "breakdown_to_json",
@@ -199,19 +199,38 @@ class Classification:
     components: tuple  # the four class-level criteria, in the normalized orientation
 
 
-def _class_components(cA: SixthPowerClass, cB: SixthPowerClass) -> tuple:
-    cAB4 = _CLASS_FOUR * cA * cB
+_CLASS_FOUR = SixthPowerClass(1, {2: 2})
+
+
+def _case(a, b, cA: SixthPowerClass, cB: SixthPowerClass) -> tuple:
+    """(rank, case, components) of the canonical pair (a, b) whose
+    classes are cA and cB: the finite case list, on exponent arithmetic
+    alone."""
     a_sqish = cA.is_square() or cA.neg3_times_is_square()
     b_sqish = cB.is_square() or cB.neg3_times_is_square()
-    return (
-        int(cAB4.is_cube() and a_sqish),
+    cube4ab = (_CLASS_FOUR * cA * cB).is_cube()
+    components = (
+        int(cube4ab and a_sqish),
         int(cA.is_cube() and b_sqish),
         int(cB.is_cube() and a_sqish),
-        int(cAB4.is_cube() and b_sqish),
+        int(cube4ab and b_sqish),
     )
-
-
-_CLASS_FOUR = SixthPowerClass(1, {2: 2})
+    a_cs, b_cs = a in CUBE_AND_SQUARISH, b in CUBE_AND_SQUARISH
+    a_qc, b_qc = a in QUADRUPLE_CUBE_SQUARISH, b in QUADRUPLE_CUBE_SQUARISH
+    if (a_cs and b_qc) or (a_qc and b_cs):
+        return 3, "3", components
+    # 4c is a cube for every c in QUADRUPLE_CUBE_SQUARISH, so cube4ab
+    # only skips products that cannot match
+    if b_sqish and cube4ab and (cA * cB).rep in QUADRUPLE_CUBE_SQUARISH:
+        return 2, "2a", components
+    if a_qc and cB.is_cube():
+        return 2, "2b", components
+    if a_cs and b_cs:
+        return 2, "2c", components
+    if b_qc and cA.is_cube():
+        return 2, "2d", components
+    rank = sum(components)
+    return rank, str(rank), components
 
 
 def classify(A, B) -> Classification:
@@ -222,34 +241,14 @@ def classify(A, B) -> Classification:
     """
     norm = normalize_pair(A, B)
     a, b = norm.first, norm.second
-    cA = sixth_power_class(a)
-    cB = sixth_power_class(b)
-    prod_rep = (cA * cB).rep
-    b_sqish = cB.is_square() or cB.neg3_times_is_square()
-    components = _class_components(cA, cB)
-
-    in_cs = lambda x: x in CUBE_AND_SQUARISH
-    in_qc = lambda x: x in QUADRUPLE_CUBE_SQUARISH
-
-    if (in_cs(a) and in_qc(b)) or (in_qc(a) and in_cs(b)):
-        rank, case = 3, "3"
-    elif b_sqish and in_qc(prod_rep):
-        rank, case = 2, "2a"
-    elif in_qc(a) and cB.is_cube():
-        rank, case = 2, "2b"
-    elif in_cs(a) and in_cs(b):
-        rank, case = 2, "2c"
-    elif in_qc(b) and cA.is_cube():
-        rank, case = 2, "2d"
-    else:
-        rank = sum(components)
-        case = str(rank)
+    rank, case, components = _case(a, b, sixth_power_class(a),
+                                   sixth_power_class(b))
     return Classification(rank=rank, case=case, normalized=norm,
                           components=components)
 
 
 # ---------------------------------------------------------------------------
-# census: exhaustive comparison of the two routes
+# census: both routes on every canonical pair
 # ---------------------------------------------------------------------------
 
 def sixth_power_free_values(bound: int) -> list:
@@ -268,37 +267,11 @@ def sixth_power_free_values(bound: int) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class CensusResult:
-    bound: int
-    n_values: int
-    n_pairs: int
-    rank_histogram: dict
-    disagreements: tuple
-    rank3_pairs: tuple
-    max_rank: int
-
-
-class _ValueCache:
-    """Per-value data shared across a census, one factorization each."""
-
-    def __init__(self, values):
-        self.cls = {}
-        self.sqish = {}
-        self.cube = {}
-        self.in_cs = {}
-        self.in_qc = {}
-        for v in values:
-            c = sixth_power_class(v)
-            self.cls[v] = c
-            self.sqish[v] = c.is_square() or c.neg3_times_is_square()
-            self.cube[v] = c.is_cube()
-            self.in_cs[v] = v in CUBE_AND_SQUARISH
-            self.in_qc[v] = v in QUADRUPLE_CUBE_SQUARISH
-
-
 def _root_route(A: int, B: int) -> tuple:
-    """The rank_breakdown criteria, evaluated by plain root extraction."""
+    """The rank_breakdown criteria, evaluated by plain root extraction.
+
+    A lean copy of rank_breakdown with no ComponentReason records, which
+    would cost the census about four times as much per pair."""
     cube4ab = is_kth_power(4 * A * B, 3) is not None
     cA = is_kth_power(A, 3) is not None
     cB = is_kth_power(B, 3) is not None
@@ -308,107 +281,41 @@ def _root_route(A: int, B: int) -> tuple:
             int(cube4ab and sB))
 
 
-def _class_route(A: int, B: int, cache: _ValueCache) -> tuple:
-    """Rank and case from the classification, on cached class data."""
-    swapped = _prefer_swap(A, B)
-    a, b = (B, A) if swapped else (A, B)
-    if (cache.in_cs[a] and cache.in_qc[b]) or (cache.in_qc[a] and cache.in_cs[b]):
-        return 3, "3"
-    if cache.sqish[b]:
-        prod_rep = (cache.cls[a] * cache.cls[b]).rep
-        if prod_rep in QUADRUPLE_CUBE_SQUARISH:
-            return 2, "2a"
-    if cache.in_qc[a] and cache.cube[b]:
-        return 2, "2b"
-    if cache.in_cs[a] and cache.in_cs[b]:
-        return 2, "2c"
-    if cache.in_qc[b] and cache.cube[a]:
-        return 2, "2d"
-    components = _class_components(cache.cls[a], cache.cls[b])
-    rank = sum(components)
-    return rank, str(rank)
-
-
-def _census_chunk(args):
-    bound, a_values, emit = args
-    values = sixth_power_free_values(bound)
-    cache = _ValueCache(values)
-    hist = {}
-    disagreements = []
-    rank3 = []
-    rows = [] if emit else None
-    n = 0
-    for A in a_values:
-        for B in values:
-            n += 1
-            r = _root_route(A, B)
-            rank = sum(r)
-            crank, case = _class_route(A, B, cache)
-            if crank != rank or rank > 3:
-                disagreements.append((A, B, r, rank, crank, case))
-            hist[rank] = hist.get(rank, 0) + 1
-            if rank == 3:
-                rank3.append((A, B))
-            if emit:
-                rows.append(
-                    f"{A}\t{B}\t{A}\t{B}\t{r[0]}\t{r[1]}\t{r[2]}\t{r[3]}\t{rank}\t{case}")
-    return hist, disagreements, rank3, n, rows
-
-
-def _chunked(seq, n_chunks):
-    size = max(1, (len(seq) + n_chunks - 1) // n_chunks)
-    return [seq[i:i + size] for i in range(0, len(seq), size)]
-
-
-def classification_consistency(bound: int, jobs: int = 1) -> CensusResult:
-    """Compare both rank routes on every canonical pair up to |bound|.
-
-    Canonical pairs are pairs of sixth-power-free integers; every
-    E_{A,B} is isomorphic over Q(t) to one with such coefficients.
-    Deterministic for any job count.
-    """
-    values = sixth_power_free_values(bound)
-    chunks = _chunked(values, max(1, jobs) * 4) if jobs > 1 else [values]
-    args = [(bound, chunk, False) for chunk in chunks]
-    if jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            parts = pool.map(_census_chunk, args)
-    else:
-        parts = [_census_chunk(a) for a in args]
-    hist = {}
-    disagreements = []
-    rank3 = []
-    n = 0
-    for h, d, r3, cnt, _ in parts:
-        for k, v in h.items():
-            hist[k] = hist.get(k, 0) + v
-        disagreements.extend(d)
-        rank3.extend(r3)
-        n += cnt
-    return CensusResult(
-        bound=bound,
-        n_values=len(values),
-        n_pairs=n,
-        rank_histogram=dict(sorted(hist.items())),
-        disagreements=tuple(disagreements),
-        rank3_pairs=tuple(rank3),
-        max_rank=max(hist) if hist else 0,
-    )
-
-
 CENSUS_TSV_HEADER = "A\tB\tA_class\tB_class\tr1\tr2\tr3\tr4\trank\tclassify_case"
 
 
+def _census_chunk(args) -> list:
+    """TSV rows of the pairs (A, B) with A in a_values and B any value."""
+    bound, a_values = args
+    values = sixth_power_free_values(bound)
+    classes = {v: sixth_power_class(v) for v in values}
+    rows = []
+    for A in a_values:
+        for B in values:
+            r = _root_route(A, B)
+            a, b = (B, A) if _prefer_swap(A, B) else (A, B)
+            case = _case(a, b, classes[a], classes[b])[1]
+            rows.append(f"{A}\t{B}\t{A}\t{B}\t{r[0]}\t{r[1]}\t{r[2]}\t{r[3]}"
+                        f"\t{sum(r)}\t{case}")
+    return rows
+
+
 def census_rows(bound: int, jobs: int = 1) -> Iterable[str]:
-    """TSV rows of the census, header first; byte-identical for any jobs."""
+    """TSV rows of the census, header first; byte-identical for any jobs.
+
+    Canonical pairs are pairs of sixth-power-free integers; every
+    E_{A,B} is isomorphic over Q(t) to one with such coefficients.  Each
+    row carries the root route's criteria and rank and the class route's
+    case.  The sweep runs on min(jobs, CPU count) processes.
+    """
     values = sixth_power_free_values(bound)
     yield CENSUS_TSV_HEADER
-    chunks = _chunked(values, max(1, jobs) * 4) if jobs > 1 else [values]
-    args = [(bound, chunk, True) for chunk in chunks]
-    if jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            for _, _, _, _, rows in pool.imap(_census_chunk, args):
-                yield from rows
-    else:
-        for a in args:
-            yield from _census_chunk(a)[4]
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers <= 1:
+        yield from _census_chunk((bound, values))
+        return
+    size = -(-len(values) // (workers * 4))
+    chunks = [(bound, values[i:i + size]) for i in range(0, len(values), size)]
+    with multiprocessing.Pool(workers) as pool:
+        for rows in pool.imap(_census_chunk, chunks):
+            yield from rows

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,10 +8,16 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+import sexticrank
 from sexticrank.cli import main
 from sexticrank.generators import certificate_to_json, full_certificate
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
+
+#: environment in which a child interpreter imports the package under test
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(Path(sexticrank.__file__).parents[1]),
+                  os.environ.get("PYTHONPATH")]))}
 
 
 def run_cli(argv):
@@ -218,7 +225,7 @@ def test_oracle_inconclusive_is_not_failure(capsys):
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "sexticrank.cli", "rank", "1", "16"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0
     assert "rank = 3" in proc.stdout
 
@@ -269,7 +276,7 @@ def verify_in_subprocess(tmp_path, data):
     proc = subprocess.run(
         [sys.executable, "-m", "sexticrank.cli", "certify", "--verify",
          str(path)],
-        capture_output=True, text=True, timeout=30)
+        capture_output=True, text=True, timeout=30, env=CHILD_ENV)
     assert "Traceback" not in proc.stderr
     assert proc.returncode == 1
     lines = proc.stdout.splitlines()
@@ -299,12 +306,23 @@ def test_verify_off_curve_tamper_ends_quickly(tamper, k, cert_1_16, tmp_path):
     assert f"k={k}: multiples 1..6 all nonzero" in failures
 
 
-@pytest.mark.parametrize("point", ["((s+1)^100000, s + 8)", "(s^20000, s + 8)"])
+# the last point's x would be an integer of 2^30 bits
+@pytest.mark.parametrize("point", ["((s+1)^100000, s + 8)", "(s^20000, s + 8)",
+                                   "(((((2^64)^64)^64)^64)^64, s + 8)"])
 def test_verify_huge_degree_point_ends_quickly(point, cert_1_16, tmp_path):
     failures = verify_in_subprocess(
         tmp_path, _with("subfamily_point", point, witness=0)(cert_1_16))
     assert any("parse/verify error" in name and "limit" in name
                for name in failures), failures
+
+
+def test_verify_point_with_large_coprime_denominators_ends(cert_1_16, tmp_path):
+    # passes the degree cap; the curve test must not run a gcd on x^3
+    x = " + ".join(f"1/(s+{i})" for i in range(1, 33))
+    point = f"({x}, s^32/(s-1)^31)"
+    failures = verify_in_subprocess(
+        tmp_path, _with("subfamily_point", point, witness=0)(cert_1_16))
+    assert "k=1: point on subfamily curve" in failures
 
 
 @pytest.mark.parametrize("mutate,named", [

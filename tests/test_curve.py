@@ -44,6 +44,19 @@ def test_membership():
         E.require_on_curve(Q)
 
 
+def test_membership_with_general_denominators():
+    # C chosen so that (1/(t + 1), t/(t - 1)) lies on y^2 = x^3 + C; every
+    # denominator is coprime to t, so no monomial shortcut applies
+    t = RatFunc.variable()
+    x, y = 1 / (t + 1), t / (t - 1)
+    E = FunctionFieldCurve(y * y - x ** 3)
+    assert E.contains(CurvePoint(x, y))
+    assert E.contains(CurvePoint(x, -y))
+    assert not E.contains(CurvePoint(x + 1, y))
+    assert not E.contains(CurvePoint(x, y / (t + 2)))
+    assert not FunctionFieldCurve(y * y - x ** 3 + 2).contains(CurvePoint(x, y))
+
+
 # -- group law on a curve with known arithmetic -------------------------------
 
 def test_group_law_frozen_values():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from sexticrank.curve import ZETA6
 from sexticrank.exactnum import OMEGA, QuadExt
 from sexticrank.funcfield import (
+    MAX_PARSE_BITS,
     MAX_PARSE_DEGREE,
     Poly,
     RatFunc,
@@ -98,6 +99,16 @@ def test_parse_degree_cap():
                  f"2^{cap + 1}", f"t^{cap} * t", f"t^{cap}/(t + 1)",
                  f"t^{cap} + 1/t", "(s + 1)^100000"]:
         with pytest.raises(ValueError, match="limit"):
+            parse_ratfunc(text)
+
+
+def test_parse_coefficient_size_cap():
+    assert parse_ratfunc("(2^64)^8") == RatFunc.constant(2 ** 512)
+    assert parse_ratfunc("(2/3*t + 5)^64") == (Fraction(2, 3) * Poly.variable() + 5) ** 64
+    # refused before the power is built, not after
+    for text in ["((2^64)^64)^64", "((((2^64)^64)^64)^64)^64",
+                 f"({2 ** (MAX_PARSE_BITS // 64)})^64"]:
+        with pytest.raises(ValueError, match="bits is above the parser's limit"):
             parse_ratfunc(text)
 
 

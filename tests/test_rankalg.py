@@ -1,15 +1,17 @@
 import json
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sexticrank import rankalg
+from sexticrank.cli import main
 from sexticrank.rankalg import (
     CENSUS_TSV_HEADER,
     breakdown_to_json,
     census_rows,
-    classification_consistency,
     classify,
     normalize_pair,
     rank_breakdown,
@@ -159,21 +161,17 @@ def test_sixth_power_free_values():
     assert len(sixth_power_free_values(500)) == 986
 
 
-def test_census_bound_1():
-    res = classification_consistency(1)
-    assert res.n_pairs == 4
-    assert res.rank_histogram == {0: 1, 1: 2, 2: 1}
-    assert res.disagreements == ()
-    assert res.rank3_pairs == ()
-
-
-def test_census_bound_30():
-    res = classification_consistency(30)
-    assert res.n_pairs == 3600
-    assert res.rank_histogram == {0: 3481, 1: 102, 2: 13, 3: 4}
-    assert res.disagreements == ()
-    assert sorted(res.rank3_pairs) == [(-27, 16), (1, 16), (16, -27), (16, 1)]
-    assert res.max_rank == 3
+def test_census_bound_30(capsys):
+    assert main(["census", "--bound", "30"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-3:] == [
+        "# pairs 3600",
+        "# rank histogram 0:3481 1:102 2:13 3:4",
+        "# classify agreements 3600/3600",
+    ]
+    rank3 = [tuple(map(int, row.split("\t")[:2])) for row in lines[1:-3]
+             if row.split("\t")[8] == "3"]
+    assert rank3 == [(-27, 16), (1, 16), (16, -27), (16, 1)]
 
 
 def test_census_rows_match_direct_calls():
@@ -194,6 +192,35 @@ def test_census_rows_match_direct_calls():
 
 def test_census_rows_deterministic_across_jobs():
     assert list(census_rows(8, jobs=1)) == list(census_rows(8, jobs=3))
+
+
+def test_census_workers_capped_at_cpu_count(monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Runs the chunks in this process and records the pool size."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(rankalg, "multiprocessing",
+                        SimpleNamespace(Pool=RecordingPool))
+    serial = list(census_rows(8, jobs=1))
+    monkeypatch.setattr(rankalg.os, "cpu_count", lambda: 3)
+    assert list(census_rows(8, jobs=10 ** 6)) == serial
+    assert list(census_rows(8, jobs=2)) == serial
+    monkeypatch.setattr(rankalg.os, "cpu_count", lambda: None)
+    assert list(census_rows(8, jobs=10 ** 6)) == serial
+    assert sizes == [3, 2]
 
 
 def test_census_rows_full_route_equivalence():
