@@ -21,7 +21,7 @@ from .generators import (
     full_certificate,
     verify_certificate_json,
 )
-from .oracle import cross_validate
+from .oracle import MAX_HEIGHT, cross_validate
 from .rankalg import breakdown_to_json, census_rows, rank_breakdown
 
 _CASE_RANK = {"0": 0, "1": 1, "2a": 2, "2b": 2, "2c": 2, "2d": 2, "3": 3}
@@ -153,10 +153,12 @@ def cmd_rank(args) -> int:
 
 def cmd_certify(args, parser) -> int:
     if args.verify:
+        # ValueError covers bad JSON and bytes that are not UTF-8, and
+        # RecursionError JSON nested deeper than the interpreter's stack
         try:
-            with open(args.verify) as fh:
+            with open(args.verify, encoding="utf-8") as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             parser.error(f"cannot read certificate: {exc}")
         report = verify_certificate_json(data)
         return _emit_verification(report, args.format)
@@ -274,6 +276,8 @@ def main(argv=None) -> int:
         return cmd_census(args)
     if args.command == "oracle":
         _require_nonzero(parser, args)
+        if args.height > MAX_HEIGHT:
+            parser.error(f"--height is above the limit of {MAX_HEIGHT}")
         return cmd_oracle(args)
     parser.error(f"unknown command {args.command!r}")
 

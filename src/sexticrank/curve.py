@@ -170,9 +170,6 @@ class FunctionFieldCurve:
         v = self.var
         return f"y^2 = x^3 + {self.C.to_str(v)}"
 
-    def discriminant(self) -> RatFunc:
-        return -432 * self.C * self.C
-
     def lift(self) -> "FunctionFieldCurve":
         """The same curve viewed over Q(sqrt(-3))(t)."""
         if self.field is QuadExt:
@@ -372,12 +369,6 @@ class FunctionFieldCurve:
             kodaira=_KODAIRA[v_C],
             components_away=2 * (v_C - 1),
         )
-
-    def expected_geometric_rank(self) -> int:
-        return self.fiber_report().geometric_rank
-
-    def format_point(self, P: CurvePoint) -> str:
-        return P.to_str(self.var)
 
 
 def _conj_ratfunc(f: RatFunc) -> RatFunc:

@@ -1,7 +1,7 @@
 """Exact arithmetic on Q and Q(sqrt(-3)).
 
-Rationals are stdlib ``fractions.Fraction`` (re-exported as ``Rational``),
-read from text only in the integer-or-p/q grammar of ``parse_rational``;
+Rationals are stdlib ``fractions.Fraction``, read from text only in the
+integer-or-p/q grammar of ``parse_rational``;
 on top of that this module provides perfect-power detection, the
 square-or-(-3)-times-square trichotomy, canonical sixth-power residue
 classes, and the quadratic extension Q(sqrt(-3)) needed for Galois
@@ -16,19 +16,15 @@ import re
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
-Rational = Fraction
 RationalLike = Union[int, Fraction]
 
 __all__ = [
-    "Rational",
     "parse_rational",
     "is_kth_power",
     "SquareTest",
     "is_square_or_neg3_square",
     "SixthPowerClass",
     "sixth_power_class",
-    "is_square_in_ext",
-    "is_cube_in_ext",
     "QuadExt",
     "OMEGA",
     "FactorBudgetExceeded",
@@ -145,6 +141,10 @@ class FactorBudgetExceeded(Exception):
 
 
 _TRIAL_LIMIT = 10 ** 6
+#: past the primes below this, trial division goes on only while the
+#: cofactor is too large to certify: Miller-Rabin proves a prime, and rho
+#: splits a composite, long before division by every candidate to 10^6
+_SMALL_TRIAL_LIMIT = 100
 # Deterministic Miller-Rabin is proven for n below this bound with the
 # twelve bases used in _is_prime.
 _MR_CERTAIN_BOUND = 3_317_044_064_679_887_385_961_981
@@ -211,7 +211,9 @@ def _brent_rho(n: int, budget: int) -> Optional[int]:
 def factorint(n: int, rho_budget: int = 1_000_000) -> dict[int, int]:
     """Factor a positive integer into {prime: exponent}.
 
-    Trial division up to 10^6, then budgeted Brent rho on the cofactor.
+    Trial division by the primes below 100, and on up to 10^6 while the
+    cofactor is too large to certify; then Miller-Rabin and budgeted Brent
+    rho on the cofactor.
     Raises FactorBudgetExceeded rather than returning anything
     unverified (also when primality of a huge cofactor cannot be
     settled deterministically).
@@ -224,18 +226,14 @@ def factorint(n: int, rho_budget: int = 1_000_000) -> dict[int, int]:
             out[p] = out.get(p, 0) + 1
             n //= p
     p = 5
-    while p <= _TRIAL_LIMIT and p * p <= n:
+    while p <= _TRIAL_LIMIT and p * p <= n and (
+            p < _SMALL_TRIAL_LIMIT or n >= _MR_CERTAIN_BOUND):
         for q in (p, p + 2):
             while n % q == 0:
                 out[q] = out.get(q, 0) + 1
                 n //= q
         p += 6
-    if n == 1:
-        return out
-    if p * p > n:  # cofactor is prime: untouched by trial division below sqrt
-        out[n] = out.get(n, 0) + 1
-        return out
-    stack = [n]
+    stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
         if m >= _MR_CERTAIN_BOUND:
@@ -331,26 +329,6 @@ def sixth_power_class(x: RationalLike, rho_budget: int = 1_000_000) -> SixthPowe
 # ---------------------------------------------------------------------------
 # the quadratic extension Q(sqrt(-3))
 # ---------------------------------------------------------------------------
-
-def is_square_in_ext(u: RationalLike) -> bool:
-    """Is nonzero u a square in Q(sqrt(-3))?
-
-    Holds exactly when u or -3u is a square in Q: any v = a + b*sqrt(-3)
-    with v^2 rational forces ab = 0.
-    """
-    u = Fraction(u)
-    if u == 0:
-        raise ValueError("u must be nonzero")
-    return is_square_or_neg3_square(u).kind != "neither"
-
-
-def is_cube_in_ext(u: RationalLike) -> bool:
-    """Is nonzero u a cube in Q(sqrt(-3))?  Equivalent to being a cube in Q."""
-    u = Fraction(u)
-    if u == 0:
-        raise ValueError("u must be nonzero")
-    return is_kth_power(u, 3) is not None
-
 
 class QuadExt:
     """Element a + b*sqrt(-3) of Q(sqrt(-3)).

@@ -507,6 +507,9 @@ MAX_PARSE_DEGREE = 64
 #: largest coefficient size in bits that the parser lets a power reach;
 #: the display form raises only the variable to a power
 MAX_PARSE_BITS = 1 << 16
+#: deepest nesting of parentheses that the parser descends into; each
+#: level costs five stack frames, and certificate points need at most 3
+MAX_PARSE_DEPTH = 64
 
 
 def _check_degree(bound: int):
@@ -543,6 +546,7 @@ class _Parser:
         self.tokens = self._lex(text)
         self.pos = 0
         self.var = var
+        self.depth = 0
 
     @staticmethod
     def _lex(text: str):
@@ -640,19 +644,27 @@ class _Parser:
             raise ValueError(f"expected integer exponent, got {val!r}")
         return sign * val
 
+    def parenthesized(self) -> RatFunc:
+        """The expression after an opening parenthesis, and its closing one."""
+        self.depth += 1
+        if self.depth > MAX_PARSE_DEPTH:
+            raise ValueError(f"parentheses nested above the parser's limit "
+                             f"of {MAX_PARSE_DEPTH}")
+        v = self.expr()
+        self.expect(")")
+        self.depth -= 1
+        return v
+
     def atom(self) -> RatFunc:
         kind, val = self.take()
         if kind == "int":
             return RatFunc.constant(QuadExt(val), QuadExt)
         if kind == "op" and val == "(":
-            v = self.expr()
-            self.expect(")")
-            return v
+            return self.parenthesized()
         if kind == "name":
             if val == "sqrt":
                 self.expect("(")
-                arg = self.expr()
-                self.expect(")")
+                arg = self.parenthesized()
                 if not (arg.is_constant() and arg.constant_value() == QuadExt(-3)):
                     raise ValueError("only sqrt(-3) is supported")
                 return RatFunc.constant(QuadExt(0, 1), QuadExt)

@@ -32,10 +32,10 @@ from .generators import subfamily_generator
 
 __all__ = [
     "SearchShape",
-    "SearchConfig",
     "DIRECT_SHAPES",
     "DESCENT_SHAPES",
     "FULL_SHAPE",
+    "MAX_HEIGHT",
     "Equation",
     "sigma_equations",
     "heights_ordered",
@@ -77,12 +77,11 @@ DESCENT_SHAPES = {
     4: FULL_SHAPE,
 }
 
-
-@dataclass(frozen=True)
-class SearchConfig:
-    height: int = 12
-    generic: bool = False  # force FULL_SHAPE
-    shape: Optional[SearchShape] = None  # otherwise the tight per-k support
+#: largest coefficient height searched: heights_ordered(H) has about
+#: 1.2 H^2 values, and the descent-shape search `oracle -12 36 --k 1
+#: --height H` took 18 s at H = 12, 79 s at 18, 96 s at 20 and 153 s
+#: at 24 (CPython 3.11, 2-core x86-64 machine)
+MAX_HEIGHT = 20
 
 
 class Equation:
@@ -236,9 +235,9 @@ def _pick_variable(eqs, variables, assign):
     return best[1] if best else None
 
 
-def search_points(A, B, k: int, config: SearchConfig = SearchConfig()) -> tuple:
+def search_points(A, B, k: int, shape: SearchShape, height: int) -> tuple:
     """All curve points over the shape with enumerated coefficients of
-    bounded height, deduplicated up to sign of y and sorted.
+    height at most height, deduplicated up to sign of y and sorted.
 
     Solved (non-enumerated) coefficients may exceed the height bound;
     every returned point is verified on the curve exactly.
@@ -248,10 +247,11 @@ def search_points(A, B, k: int, config: SearchConfig = SearchConfig()) -> tuple:
         raise ValueError("A and B must be nonzero")
     if k not in (1, 2, 3, 4):
         raise ValueError("k must be 1, 2, 3 or 4")
-    shape = config.shape or (FULL_SHAPE if config.generic else DIRECT_SHAPES[k])
+    if height > MAX_HEIGHT:
+        raise ValueError(f"height {height} is above the limit of {MAX_HEIGHT}")
     eqs = sigma_equations(A, B, k, shape)
     variables = shape.variables()
-    values = heights_ordered(config.height)
+    values = heights_ordered(height)
     curve = FunctionFieldCurve.subfamily(A, B, k, 1)
     solutions = []
 
@@ -291,22 +291,26 @@ def search_points(A, B, k: int, config: SearchConfig = SearchConfig()) -> tuple:
 
 
 def _collect(solutions, shape: SearchShape, curve: FunctionFieldCurve) -> tuple:
-    seen = {}
+    """The distinct points on the curve among the solutions, y up to
+    sign, sorted by their coefficient vectors over the shape."""
+    nx, ny = max(shape.x_support) + 1, max(shape.y_support) + 1
+    found = set()
     for assign in solutions:
-        xc = [Fraction(0)] * (max(shape.x_support) + 1)
-        yc = [Fraction(0)] * (max(shape.y_support) + 1)
-        for i in shape.x_support:
-            xc[i] = assign[f"a{i}"]
-        for j in shape.y_support:
-            yc[j] = assign[f"b{j}"]
-        lead = next((c for c in reversed(yc) if c), None)
-        if lead is not None and lead < 0:
-            yc = [-c for c in yc]
-        P = CurvePoint(RatFunc(Poly(xc)), RatFunc(Poly(yc)))
-        if not curve.contains(P):  # solver bug guard; never trust the plan
-            continue
-        seen[(tuple(xc), tuple(yc))] = P
-    return tuple(P for _, P in sorted(seen.items()))
+        x = Poly([assign.get(f"a{i}", 0) for i in range(nx)])
+        y = Poly([assign.get(f"b{j}", 0) for j in range(ny)])
+        P = _canonical_sign(CurvePoint(RatFunc(x), RatFunc(y)))
+        if curve.contains(P):  # solver bug guard; never trust the plan
+            found.add(P)
+    return tuple(sorted(found, key=lambda P: (
+        [P.x.num[i] for i in range(nx)], [P.y.num[j] for j in range(ny)])))
+
+
+def _canonical_sign(P: CurvePoint) -> CurvePoint:
+    """P or -P, whichever has y with a positive leading coefficient."""
+    coeffs = () if P.is_infinity else P.y.num.coeffs
+    if coeffs and coeffs[-1] < 0:
+        return CurvePoint(P.x, -P.y)
+    return P
 
 
 @dataclass(frozen=True)
@@ -344,30 +348,16 @@ def cross_validate(A, B, k: int, height: int = 12) -> CrossValidation:
     but is flagged ``conclusive=False``.
     """
     w = subfamily_generator(A, B, k)
+    descent = w is not None and w.used_descent
+    shape = (DESCENT_SHAPES if descent else DIRECT_SHAPES)[k]
+    found = search_points(A, B, k, shape, height)
     if w is None:
-        shape = DIRECT_SHAPES[k]
-        found = search_points(A, B, k, SearchConfig(height=height, shape=shape))
-        return CrossValidation(Fraction(A), Fraction(B), k, False, False,
-                               None, found, agrees=not found, conclusive=True)
-    shape = DESCENT_SHAPES[k] if w.used_descent else DIRECT_SHAPES[k]
-    found = search_points(A, B, k, SearchConfig(height=height, shape=shape))
-    target = _canonical_sign(w.point)
-    hit = any(P == target for P in found)
-    if hit:
-        return CrossValidation(Fraction(A), Fraction(B), k, True,
-                               w.used_descent, w.point, found,
-                               agrees=True, conclusive=True)
-    reachable = point_height(w.point) <= height
-    return CrossValidation(Fraction(A), Fraction(B), k, True, w.used_descent,
-                           w.point, found,
-                           agrees=not reachable, conclusive=reachable)
-
-
-def _canonical_sign(P: CurvePoint) -> CurvePoint:
-    if P.is_infinity:
-        return P
-    coeffs = P.y.num.coeffs
-    lead = coeffs[-1] if coeffs else None
-    if lead is not None and lead < 0:
-        return CurvePoint(P.x, -P.y)
-    return P
+        agrees, conclusive = not found, True
+    elif _canonical_sign(w.point) in found:
+        agrees = conclusive = True
+    else:
+        conclusive = point_height(w.point) <= height
+        agrees = not conclusive
+    return CrossValidation(Fraction(A), Fraction(B), k, w is not None, descent,
+                           None if w is None else w.point, found,
+                           agrees=agrees, conclusive=conclusive)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -156,7 +156,8 @@ class NormalizedPair:
 
     A = u^6 * (A_bar), B = v^6 * (B_bar); (first, second) is (A_bar,
     B_bar) or the swap of it, preferring a first component whose class
-    lies in CUBE_AND_SQUARISH, then lexicographic order.
+    lies in CUBE_AND_SQUARISH, then lexicographic order.  The classes of
+    first and second ride along, so that classify factors nothing twice.
     """
 
     first: Fraction
@@ -166,21 +167,25 @@ class NormalizedPair:
     u: Fraction
     v: Fraction
     swapped: bool
+    first_class: SixthPowerClass = field(repr=False, compare=False)
+    second_class: SixthPowerClass = field(repr=False, compare=False)
 
 
 def normalize_pair(A, B) -> NormalizedPair:
     A, B = Fraction(A), Fraction(B)
     if A == 0 or B == 0:
         raise ValueError("A and B must be nonzero")
-    A_bar = sixth_power_class(A).rep
-    B_bar = sixth_power_class(B).rep
+    cA, cB = sixth_power_class(A), sixth_power_class(B)
+    A_bar, B_bar = cA.rep, cB.rep
     u = is_kth_power(A / A_bar, 6)
     v = is_kth_power(B / B_bar, 6)
     assert u is not None and v is not None
     swapped = _prefer_swap(A_bar, B_bar)
     first, second = (B_bar, A_bar) if swapped else (A_bar, B_bar)
+    c_first, c_second = (cB, cA) if swapped else (cA, cB)
     return NormalizedPair(first=first, second=second, A_bar=A_bar, B_bar=B_bar,
-                          u=u, v=v, swapped=swapped)
+                          u=u, v=v, swapped=swapped,
+                          first_class=c_first, second_class=c_second)
 
 
 def _prefer_swap(A_bar: Fraction, B_bar: Fraction) -> bool:
@@ -240,9 +245,8 @@ def classify(A, B) -> Classification:
     exponent arithmetic on factored canonical representatives.
     """
     norm = normalize_pair(A, B)
-    a, b = norm.first, norm.second
-    rank, case, components = _case(a, b, sixth_power_class(a),
-                                   sixth_power_class(b))
+    rank, case, components = _case(norm.first, norm.second, norm.first_class,
+                                   norm.second_class)
     return Classification(rank=rank, case=case, normalized=norm,
                           components=components)
 

@@ -19,7 +19,7 @@ from sexticrank.generators import (
     subfamily_generator,
     verify_inclusion_chain,
 )
-from sexticrank.oracle import SearchConfig, search_points
+from sexticrank.oracle import DIRECT_SHAPES, search_points
 from sexticrank.rankalg import (
     classify,
     rank_breakdown,
@@ -119,11 +119,12 @@ def test_criterion_5_fiber_arithmetic():
         assert summary.has_type_II
         assert [(f.count, f.v_delta, f.kodaira) for f in summary.fibers] \
             == [(6, 2, "II")]
-        assert E.expected_geometric_rank() == 8
+        assert summary.geometric_rank == 8
         for k in (1, 2, 3, 4):
             sub = FunctionFieldCurve.subfamily(A, B, k, 1)
-            assert sub.expected_geometric_rank() == 2
-            assert sub.fiber_report().total_v_delta == 12
+            sub_summary = sub.fiber_report()
+            assert sub_summary.geometric_rank == 2
+            assert sub_summary.total_v_delta == 12
         done += 1
     print("CRITERION 5 PASS: 100 random pairs, v(Delta) sums to 12 with "
           "six type II fibers, geometric ranks 8 and 2")
@@ -155,7 +156,8 @@ def test_criterion_7_oracle_sweep_bound_20():
         for B in vals:
             bd = rank_breakdown(A, B)
             for reason in bd.reasons:
-                found = search_points(A, B, reason.k, SearchConfig(height=12))
+                found = search_points(A, B, reason.k,
+                                      DIRECT_SHAPES[reason.k], 12)
                 searches += 1
                 direct = reason.satisfied and reason.square_kind == "square"
                 assert bool(found) == direct, (A, B, reason.k)

@@ -337,3 +337,34 @@ def test_verify_malformed_certificate_is_a_named_failure(mutate, named,
                                                          cert_1_16, tmp_path):
     failures = verify_in_subprocess(tmp_path, mutate(cert_1_16))
     assert any(named in name for name in failures), failures
+
+
+def test_verify_deeply_nested_point_is_a_named_failure(cert_1_16, tmp_path):
+    point = "(" + "(" * 5000 + "s" + ")" * 5000 + ", s + 8)"
+    failures = verify_in_subprocess(
+        tmp_path, _with("subfamily_point", point, witness=0)(cert_1_16))
+    assert any(name.startswith("k=1: parse/verify error") and "limit" in name
+               for name in failures), failures
+
+
+@pytest.mark.parametrize("content", [
+    b"[" * 200_000 + b"]" * 200_000,
+    b"\xff\xfe\x7b",
+], ids=["json-nested-200000", "not-utf8"])
+def test_verify_unreadable_certificate_is_a_usage_error(content, tmp_path):
+    path = tmp_path / "cert.json"
+    path.write_bytes(content)
+    proc = subprocess.run(
+        [sys.executable, "-m", "sexticrank.cli", "certify", "--verify",
+         str(path)],
+        capture_output=True, text=True, timeout=30, env=CHILD_ENV)
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 2
+    assert "cannot read certificate" in proc.stderr
+
+
+def test_oracle_height_above_the_cap_is_refused(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "1", "16", "--height", "1000000000"])
+    assert exc.value.code == 2
+    assert "--height is above the limit" in capsys.readouterr().err

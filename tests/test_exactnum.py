@@ -11,9 +11,7 @@ from sexticrank.exactnum import (
     QuadExt,
     SixthPowerClass,
     factorint,
-    is_cube_in_ext,
     is_kth_power,
-    is_square_in_ext,
     is_square_or_neg3_square,
     sixth_power_class,
 )
@@ -90,6 +88,10 @@ def test_factorint_known_values():
     assert factorint(1) == {}
     assert factorint(2 ** 10 * 3 ** 4 * 97) == {2: 10, 3: 4, 97: 1}
     assert factorint(1_000_003) == {1_000_003: 1}
+    # cofactors past the primes below 100 go to Miller-Rabin and rho
+    assert factorint(2 ** 5 * 7 * (10 ** 18 + 3)) == {2: 5, 7: 1, 10 ** 18 + 3: 1}
+    assert factorint(999_983 ** 3) == {999_983: 3}
+    assert factorint(101 ** 2 * 1_009 ** 5) == {101: 2, 1_009: 5}
     # twin semiprime beyond the trial division bound
     p, q = 1_000_033, 1_000_037
     assert factorint(p * q) == {p: 1, q: 1}
@@ -119,12 +121,7 @@ def test_ext_square_against_enumeration():
     ext_squares = {r * r for r in roots} | {-3 * r * r for r in roots}
     for u in _all_heights(30):
         expected = u in ext_squares
-        assert is_square_in_ext(u) == expected, u
-
-
-def test_ext_cube_matches_rational_cube():
-    for u in _all_heights(12):
-        assert is_cube_in_ext(u) == (is_kth_power(u, 3) is not None)
+        assert (is_square_or_neg3_square(u).kind != "neither") == expected, u
 
 
 # -- property tests ---------------------------------------------------------

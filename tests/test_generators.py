@@ -10,6 +10,7 @@ from sexticrank.exactnum import QuadExt
 from sexticrank.funcfield import Poly, RatFunc, parse_ratfunc
 from sexticrank.generators import (
     INCLUSION_ARROWS,
+    VerificationReport,
     base_change_embed,
     certificate_to_json,
     eigenspace_check,
@@ -110,7 +111,7 @@ def test_embed_to_sextic():
     W = base_change_embed(w.point, (1, 1), (0, 6))
     E = FunctionFieldCurve.sextic(1, 16)
     assert E.contains(W)
-    assert E.format_point(W) == "(4/(t^2), (t^6 + 8)/(t^3))"
+    assert W.to_str("t") == "(4/(t^2), (t^6 + 8)/(t^3))"
 
 
 def test_embed_identity_map():
@@ -216,6 +217,53 @@ def test_verify_rejects_unparseable():
     data["witnesses"][0]["embedded_point"] = "(what, ever)"
     report = verify_certificate_json(data)
     assert not report.ok
+
+
+# -- mutated certificates ------------------------------------------------------
+
+FUZZ_CERTIFICATES = {}
+
+
+def fuzz_certificate(pair):
+    """A fresh copy of the certificate JSON of pair, built once."""
+    if pair not in FUZZ_CERTIFICATES:
+        FUZZ_CERTIFICATES[pair] = json.dumps(
+            certificate_to_json(full_certificate(*pair)))
+    return json.loads(FUZZ_CERTIFICATES[pair])
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**6, 10**6)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=5)
+
+POINT_FIELDS = ("subfamily_point", "embedded_point", "pre_descent_point")
+#: the characters of the point grammar for the subfamily variable
+GRAMMAR_TEXT = st.text(alphabet="s0123456789+-*/^(), ", max_size=24)
+
+
+@settings(max_examples=50, deadline=5000)
+@given(data=st.data())
+def test_verify_mutated_certificate_returns_a_report(data):
+    cert = fuzz_certificate(data.draw(st.sampled_from([(8, 9), (-3, 1)])))
+    (witness,) = cert["witnesses"]
+    holder = data.draw(st.sampled_from([cert, witness]))
+    key = data.draw(st.sampled_from(sorted(holder)))
+    kind = data.draw(st.sampled_from(["drop", "retype", "k", "point"]))
+    if kind == "drop":
+        del holder[key]
+    elif kind == "retype":
+        old = type(holder[key])
+        holder[key] = data.draw(json_values.filter(lambda v: type(v) is not old))
+    elif kind == "k":
+        witness["k"] = data.draw(st.integers(-2, 8) | json_values)
+    else:
+        witness[data.draw(st.sampled_from(POINT_FIELDS))] = data.draw(GRAMMAR_TEXT)
+    report = verify_certificate_json(cert)
+    assert isinstance(report, VerificationReport)
+    assert all(isinstance(c.passed, bool) for c in report.checks)
 
 
 # -- inclusions ---------------------------------------------------------------------

@@ -11,7 +11,7 @@ from sexticrank.oracle import (
     DESCENT_SHAPES,
     DIRECT_SHAPES,
     FULL_SHAPE,
-    SearchConfig,
+    MAX_HEIGHT,
     SearchShape,
     cross_validate,
     heights_ordered,
@@ -78,7 +78,7 @@ DIRECT_FOUND = [
 
 @pytest.mark.parametrize("A,B,k,expect", DIRECT_FOUND)
 def test_search_direct_shapes(A, B, k, expect):
-    pts = search_points(A, B, k, SearchConfig(height=12))
+    pts = search_points(A, B, k, DIRECT_SHAPES[k], 12)
     assert [p.to_str("s") for p in pts] == expect
     curve = FunctionFieldCurve.subfamily(A, B, k, 1)
     assert all(curve.contains(p) for p in pts)
@@ -94,26 +94,27 @@ DESCENT_FOUND = [
 
 @pytest.mark.parametrize("A,B,k,expect", DESCENT_FOUND)
 def test_search_descent_shapes(A, B, k, expect):
-    shape = DESCENT_SHAPES[k]
-    pts = search_points(A, B, k, SearchConfig(height=12, shape=shape))
+    pts = search_points(A, B, k, DESCENT_SHAPES[k], 12)
     assert [p.to_str("s") for p in pts] == expect
 
 
 def test_generic_shape_recovers_direct_point():
-    pts = search_points(1, 16, 1, SearchConfig(height=8, generic=True))
+    pts = search_points(1, 16, 1, FULL_SHAPE, 8)
     assert [p.to_str("s") for p in pts] == ["(4, s + 8)"]
 
 
 def test_search_rejects_bad_arguments():
     with pytest.raises(ValueError):
-        search_points(0, 1, 1)
+        search_points(0, 1, 1, FULL_SHAPE, 12)
     with pytest.raises(ValueError):
-        search_points(1, 1, 5)
+        search_points(1, 1, 5, FULL_SHAPE, 12)
+    with pytest.raises(ValueError, match="limit"):
+        search_points(1, 16, 1, DIRECT_SHAPES[1], MAX_HEIGHT + 1)
 
 
 def test_found_points_are_sign_normalized():
     # leading y coefficient positive, negation deduplicated
-    (pt,) = search_points(1, 16, 1, SearchConfig(height=12))
+    (pt,) = search_points(1, 16, 1, DIRECT_SHAPES[1], 12)
     lead = pt.y.num.coeffs[-1]
     assert lead > 0
 
@@ -152,7 +153,7 @@ def test_cross_validate_full_shape_descent():
 def test_custom_shape_is_honored():
     # too narrow a shape must simply find nothing, never a wrong point
     narrow = SearchShape((0,), (0,))
-    pts = search_points(1, 16, 1, SearchConfig(height=12, shape=narrow))
+    pts = search_points(1, 16, 1, narrow, 12)
     assert pts == ()
 
 

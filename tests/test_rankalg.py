@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sexticrank import rankalg
+from sexticrank import exactnum, rankalg
 from sexticrank.cli import main
 from sexticrank.rankalg import (
     CENSUS_TSV_HEADER,
@@ -245,3 +245,31 @@ def test_breakdown_json_shape():
     assert first["k"] == 1 and first["satisfied"] is True
     assert first["cube"] == {"value": "1", "root": "1"}
     assert first["square"] == {"value": "1/64", "kind": "square", "root": "1/8"}
+
+
+def test_classify_computes_each_class_once(monkeypatch):
+    classes, factorings = [], []
+
+    def counting(calls, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(args[0])
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(rankalg, "sixth_power_class",
+                        counting(classes, rankalg.sixth_power_class))
+    monkeypatch.setattr(exactnum, "factorint",
+                        counting(factorings, exactnum.factorint))
+    c = classify(2**7 * 3**8 * 5, 7**9 * 11)
+    assert (c.normalized.first, c.normalized.second) == (2 * 9 * 5, 7**3 * 11)
+    assert len(classes) == 2
+    assert len(factorings) == 4
+
+
+def test_classify_big_prime_in_a_denominator():
+    # the representative holds 1000003^5, past what factorint can certify,
+    # so classify must take the class from A itself
+    A, B = Fraction(16, 1_000_003), 1
+    c = classify(A, B)
+    assert c.normalized.A_bar == 16 * 1_000_003 ** 5
+    assert c.rank == rank_breakdown(A, B).rank
