@@ -22,12 +22,10 @@ from .generators import (
     verify_certificate_json,
 )
 from .oracle import MAX_HEIGHT, cross_validate
-from .rankalg import breakdown_to_json, census_rows, rank_breakdown
+from .rankalg import (CRITERIA, MAX_CENSUS_BOUND, breakdown_to_json,
+                      census_rows, rank_breakdown)
 
 _CASE_RANK = {"0": 0, "1": 1, "2a": 2, "2b": 2, "2c": 2, "2d": 2, "3": 3}
-
-_CUBE_NAME = {1: "4AB", 2: "A", 3: "B", 4: "4AB"}
-_SQUARE_NAME = {1: "A", 2: "B", 3: "A", 4: "B"}
 
 
 def rational_arg(text: str) -> Fraction:
@@ -111,14 +109,13 @@ def _require_nonzero(parser, args):
 
 
 def _component_text(reason) -> str:
-    k = reason.k
+    cube_name, name = CRITERIA[reason.k]
     bits = []
     if reason.cube_root is not None:
-        bits.append(f"{_CUBE_NAME[k]} = {reason.cube_value}"
+        bits.append(f"{cube_name} = {reason.cube_value}"
                     f" = ({reason.cube_root})^3")
     else:
-        bits.append(f"{_CUBE_NAME[k]} = {reason.cube_value} is not a cube")
-    name = _SQUARE_NAME[k]
+        bits.append(f"{cube_name} = {reason.cube_value} is not a cube")
     v = reason.square_value
     if reason.square_kind == "square":
         bits.append(f"{name} = {v} = ({reason.square_root})^2")
@@ -273,6 +270,8 @@ def main(argv=None) -> int:
     if args.command == "certify":
         return cmd_certify(args, parser)
     if args.command == "census":
+        if args.bound > MAX_CENSUS_BOUND:
+            parser.error(f"--bound is above the limit of {MAX_CENSUS_BOUND}")
         return cmd_census(args)
     if args.command == "oracle":
         _require_nonzero(parser, args)

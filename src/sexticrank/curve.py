@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .exactnum import OMEGA, QuadExt
+from .exactnum import OMEGA, QuadExt, square_and_multiply
 from .funcfield import (
     Poly,
     RatFunc,
@@ -230,14 +230,7 @@ class FunctionFieldCurve:
     def scalar_mul(self, n: int, P: CurvePoint) -> CurvePoint:
         if n < 0:
             return self.negate(self.scalar_mul(-n, P))
-        acc = O
-        base = P
-        while n:
-            if n & 1:
-                acc = self.add(acc, base)
-            base = self.add(base, base)
-            n >>= 1
-        return acc
+        return square_and_multiply(O, P, n, self.add)
 
     # -- extra structure: CM automorphism and Galois action ---------------------
 

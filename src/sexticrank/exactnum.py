@@ -12,6 +12,7 @@ exact answer or raises a typed error, never a heuristic guess.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
@@ -25,6 +26,7 @@ __all__ = [
     "is_square_or_neg3_square",
     "SixthPowerClass",
     "sixth_power_class",
+    "square_and_multiply",
     "QuadExt",
     "OMEGA",
     "FactorBudgetExceeded",
@@ -326,6 +328,17 @@ def sixth_power_class(x: RationalLike, rho_budget: int = 1_000_000) -> SixthPowe
     return SixthPowerClass(1 if x > 0 else -1, powers)
 
 
+def square_and_multiply(one, base, n: int, mul=operator.mul):
+    """base^n for n >= 0, where one is the identity of the product mul."""
+    result = one
+    while n:
+        if n & 1:
+            result = mul(result, base)
+        base = mul(base, base)
+        n >>= 1
+    return result
+
+
 # ---------------------------------------------------------------------------
 # the quadratic extension Q(sqrt(-3))
 # ---------------------------------------------------------------------------
@@ -395,14 +408,7 @@ class QuadExt:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        result = QuadExt(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return square_and_multiply(QuadExt(1), self, n)
 
     # -- structure maps ----------------------------------------------------
 

@@ -14,7 +14,7 @@ import re
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
-from .exactnum import QuadExt
+from .exactnum import QuadExt, square_and_multiply
 
 __all__ = [
     "Poly",
@@ -150,14 +150,7 @@ class Poly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = Poly.constant(1, self.field)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return square_and_multiply(Poly.constant(1, self.field), self, n)
 
     def __divmod__(self, other: "Poly"):
         if other.is_zero():
@@ -397,14 +390,7 @@ class RatFunc:
             if self.is_zero():
                 raise ZeroDivisionError("negative power of zero")
             return RatFunc(self.den, self.num) ** (-n)
-        result = RatFunc.constant(1, self.field)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return square_and_multiply(RatFunc.constant(1, self.field), self, n)
 
     # -- evaluation and substitution -------------------------------------------
 
@@ -532,18 +518,22 @@ def _size(f: RatFunc) -> int:
 def _bits(p: Poly) -> int:
     """A count b such that the numerator and denominator of every
     coefficient part of p^n together have at most n*b bits: the bits of
-    all of p's coefficient parts, plus the growth from summing products."""
+    all of p's coefficient parts, plus the growth from summing products.
+    A rational coefficient c counts as c + 0*sqrt(-3)."""
     return len(p.coeffs).bit_length() + 2 + sum(
         part.numerator.bit_length() + part.denominator.bit_length()
-        for c in p.coeffs for part in (c.a, c.b))
+        for c in p.coeffs
+        for part in ((c.a, c.b) if isinstance(c, QuadExt) else (c, 0)))
 
 
 class _Parser:
     """Recursive descent over +, -, *, /, ^, parentheses, integers, one
-    free variable, and the literal sqrt(-3)."""
+    free variable, and the literal sqrt(-3).  Builds over Q unless the
+    text names sqrt, and over Q(sqrt(-3)) if it does."""
 
     def __init__(self, text: str, var: Optional[str]):
         self.tokens = self._lex(text)
+        self.field = QuadExt if ("name", "sqrt") in self.tokens else Fraction
         self.pos = 0
         self.var = var
         self.depth = 0
@@ -658,7 +648,7 @@ class _Parser:
     def atom(self) -> RatFunc:
         kind, val = self.take()
         if kind == "int":
-            return RatFunc.constant(QuadExt(val), QuadExt)
+            return RatFunc.constant(self.field(val), self.field)
         if kind == "op" and val == "(":
             return self.parenthesized()
         if kind == "name":
@@ -672,7 +662,7 @@ class _Parser:
                 self.var = val
             if val != self.var:
                 raise ValueError(f"unexpected name {val!r} (variable is {self.var!r})")
-            return RatFunc.variable(QuadExt)
+            return RatFunc.variable(self.field)
         raise ValueError(f"unexpected token {val!r}")
 
 

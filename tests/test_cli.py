@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import jsonschema
@@ -199,6 +200,16 @@ def test_census_rejects_bad_bound(capsys):
     assert run_cli(["census", "--bound", "-5"]) == 2
 
 
+def test_census_bound_above_the_cap_is_refused(capsys):
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--bound", "1000000000"])
+    assert exc.value.code == 2
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == "" and "--bound is above the limit" in err
+
+
 def test_oracle_text(capsys):
     assert run_cli(["oracle", "8", "9", "--k", "2"]) == 0
     out = capsys.readouterr().out
@@ -261,6 +272,56 @@ def test_certify_json_bytes_pinned(A, B, capsys):
     assert run_cli(["certify", str(A), str(B), "--format", "json"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == PINNED_CERTIFICATE_SHA256[(A, B)]
+
+
+#: sha256 of the stdout of `census --bound 30`
+PINNED_CENSUS_30_SHA256 = (
+    "217bed908288cffe6c2bcad09cbb076991390b257d6d8c2e4f38dd5d8bb80bba")
+
+
+def test_census_bytes_pinned(capsys):
+    assert run_cli(["census", "--bound", "30"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == PINNED_CENSUS_30_SHA256
+
+
+#: sha256 of the stdout of `rank A B` and of `rank A B --format json`.
+#: Together the pairs satisfy every criterion, reach every square kind
+#: (square, -3 times a square, neither) and include a class that cannot
+#: be factored.
+PINNED_RANK_SHA256 = {
+    ("1", "16"): (
+        "5ed330324c085a6db09d04a2287127fc16e0648f5f6b71739239924e4d3aa5c7",
+        "f49fa8e8e3c1ee765a4ee8abbec778ad65d797c36d592216cfcd27cc63065845"),
+    ("16", "1"): (
+        "e9efe7055eecf1e8e7341540ce4f0988bc4dc4b190b090b13655300b0a58ed64",
+        "1ab63b0077abf7140052489eb6cc8e417de1aca6ae88cef8ab369f52f68107ee"),
+    ("-3", "1"): (
+        "68501135dcfd2818a1a59c6bf54b70c4e17fef00f7c785e3fa5dec6134e5afed",
+        "bf52e8215cf20a5ea1af7c8024bb8987af146f7cc2eeeae06af8aa29556baffa"),
+    ("-27", "-432"): (
+        "7d5ac9e951f44e0681746d6856f4252eb83700a257843381bee36961bcfca606",
+        "622ee44855bf7365fd9753a478741da4f3f34b486d84679d328d81e61bfd64c3"),
+    ("2", "3"): (
+        "03b8fbef628d3c176485accea34ab375d90565ffaede2cb0b802aa4724dccda0",
+        "6aabc30d97d5df434e68e07ee49dbf633c82f994d08854e74ded0fa6afbeb6f4"),
+    ("1/64", "-3/4"): (
+        "608b369bb05fcd54ece9e7942732ac33ed99cb197fc6d9eef84ed0e6d68d1312",
+        "e0282816b5996403d3096ae2477383f3c17707c34b71522c162a5487f211304a"),
+    (UNFACTORABLE, "5"): (
+        "1ff6146da6abea4db352e64afeab264d1064ba74ed6de32572928d05936f3a1a",
+        "986a6ec5ca49f0bfdcd864cbc8619907a78a944258c24ebf7d093103f66fed9b"),
+}
+
+
+@pytest.mark.parametrize("A,B", list(PINNED_RANK_SHA256))
+def test_rank_bytes_pinned(A, B, capsys):
+    digests = []
+    for fmt in ("text", "json"):
+        assert run_cli(["rank", A, B, "--format", fmt]) == 0
+        digests.append(
+            hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    assert tuple(digests) == PINNED_RANK_SHA256[(A, B)]
 
 
 @pytest.fixture(scope="module")

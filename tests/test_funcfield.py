@@ -110,6 +110,13 @@ def test_parse_coefficient_size_cap():
                  f"({2 ** (MAX_PARSE_BITS // 64)})^64"]:
         with pytest.raises(ValueError, match="bits is above the parser's limit"):
             parse_ratfunc(text)
+    # the same edge over Q as over Q(sqrt(-3)): a rational coefficient
+    # counts as c + 0*sqrt(-3)
+    for text, k in [("({c})^64", 1012), ("(t/{c})^64", 1009),
+                    ("(sqrt(-3)*{c})^64", 1012)]:
+        parse_ratfunc(text.format(c=2 ** k))
+        with pytest.raises(ValueError, match="bits is above the parser's limit"):
+            parse_ratfunc(text.format(c=2 ** (k + 1)))
 
 
 # -- algebra -------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -10,6 +11,7 @@ from sexticrank import exactnum, rankalg
 from sexticrank.cli import main
 from sexticrank.rankalg import (
     CENSUS_TSV_HEADER,
+    MAX_CENSUS_BOUND,
     breakdown_to_json,
     census_rows,
     classify,
@@ -224,12 +226,30 @@ def test_census_workers_capped_at_cpu_count(monkeypatch):
 
 
 def test_census_rows_full_route_equivalence():
-    # every row of a small census, not just a prefix, against the slow route
-    for line in list(census_rows(4))[1:]:
+    # every row of a census, not just a prefix, against rank_breakdown and
+    # classify; the census reads per-value tests taken once per chunk
+    for line in list(census_rows(30))[1:]:
         cols = line.split("\t")
         A, B = int(cols[0]), int(cols[1])
         assert tuple(int(c) for c in cols[4:8]) == rank_breakdown(A, B).r
         assert cols[9] == classify(A, B).case
+
+
+def test_census_streams_its_rows():
+    # bound 2000 has 15.5 million pairs; the first rows must not wait for them
+    start = time.perf_counter()
+    rows = census_rows(2000)
+    assert next(rows) == CENSUS_TSV_HEADER
+    assert next(rows).startswith("-2000\t-2000\t")
+    rows.close()
+    assert time.perf_counter() - start < 10
+
+
+def test_census_bound_cap():
+    # bound 500 (acceptance criterion 1) and the streaming bound stay inside
+    assert 2000 <= MAX_CENSUS_BOUND
+    with pytest.raises(ValueError, match="between 1 and"):
+        next(census_rows(MAX_CENSUS_BOUND + 1))
 
 
 # -- JSON -------------------------------------------------------------------------
