@@ -5,12 +5,13 @@ Subcommands: ``rank`` for a single pair's component breakdown,
 re-verify), ``census`` for the exhaustive sixth-power-free sweep, and
 ``oracle`` for the independent bounded-height point search.
 
-Exit codes: 0 success, 1 a verification or consistency failure,
-2 usage error.
+Exit codes: 0 success, 1 a verification or consistency failure or
+stdout closed early, 2 usage error.
 """
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -262,6 +263,18 @@ def cmd_oracle(args) -> int:
 
 
 def main(argv=None) -> int:
+    try:
+        return _dispatch(argv)
+    except BrokenPipeError:
+        # the reader closed stdout early, as `| head` does; point the
+        # descriptor at devnull so the interpreter's final flush is quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+
+
+def _dispatch(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "rank":

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .exactnum import OMEGA, QuadExt, square_and_multiply
+from .exactnum import OMEGA, QuadExt
 from .funcfield import (
     Poly,
     RatFunc,
@@ -226,11 +226,6 @@ class FunctionFieldCurve:
         x3 = lam * lam - x1 - x2
         y3 = lam * (x1 - x3) - y1
         return CurvePoint(x3, y3)
-
-    def scalar_mul(self, n: int, P: CurvePoint) -> CurvePoint:
-        if n < 0:
-            return self.negate(self.scalar_mul(-n, P))
-        return square_and_multiply(O, P, n, self.add)
 
     # -- extra structure: CM automorphism and Galois action ---------------------
 

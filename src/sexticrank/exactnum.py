@@ -12,7 +12,6 @@ exact answer or raises a typed error, never a heuristic guess.
 from __future__ import annotations
 
 import math
-import operator
 import re
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
@@ -36,12 +35,25 @@ __all__ = [
 
 _RATIONAL = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 
+#: most digits a literal may have, numerator and denominator together.
+#: Measured on 2 cores, CPython 3.11, at 2,000 digits: rank takes
+#: 1.5 s, certify and certify --verify 1.0-3.6 s and oracle 0.2 s, on
+#: direct and descent pairs with integer and p/q literals.  At 2,200
+#: digits 4AB has 4,400 digits, over the interpreter's 4,300-digit
+#: int/str limit, and rank fails.
+MAX_LITERAL_DIGITS = 2000
+
 
 def parse_rational(text: str) -> Fraction:
-    """Exact rational literal: an integer or p/q.  No floats; ValueError
-    for anything else, including a zero denominator."""
+    """Exact rational literal: an integer or p/q of at most
+    MAX_LITERAL_DIGITS digits.  No floats; ValueError for anything else,
+    including a zero denominator."""
     if not _RATIONAL.match(text):
         raise ValueError(f"{text!r} is not an integer or p/q rational literal")
+    digits = sum(map(str.isdigit, text))
+    if digits > MAX_LITERAL_DIGITS:
+        raise ValueError(f"literal has {digits} digits, above the limit "
+                         f"of {MAX_LITERAL_DIGITS}")
     try:
         return Fraction(text)
     except ZeroDivisionError:
@@ -328,14 +340,14 @@ def sixth_power_class(x: RationalLike, rho_budget: int = 1_000_000) -> SixthPowe
     return SixthPowerClass(1 if x > 0 else -1, powers)
 
 
-def square_and_multiply(one, base, n: int, mul=operator.mul):
-    """base^n for n >= 0, where one is the identity of the product mul."""
-    result = one
-    while n:
+def square_and_multiply(one, base, n: int):
+    """base^n for n >= 0, where one is the identity: n.bit_length() - 1
+    squarings and popcount(n) products."""
+    result = one * base if n & 1 else one
+    while n := n >> 1:
+        base = base * base
         if n & 1:
-            result = mul(result, base)
-        base = mul(base, base)
-        n >>= 1
+            result = result * base
     return result
 
 

@@ -11,6 +11,8 @@ import pytest
 
 import sexticrank
 from sexticrank.cli import main
+from sexticrank.exactnum import MAX_LITERAL_DIGITS
+from sexticrank.funcfield import parse_point
 from sexticrank.generators import certificate_to_json, full_certificate
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -79,6 +81,20 @@ def test_rank_rejects_zero_B(capsys):
 def test_rank_rejects_non_rational_literals(bad, capsys):
     assert run_cli(["rank", bad, "5"]) == 2
     assert capsys.readouterr().err
+
+
+# the last two ended in a traceback at the interpreter's 4,300-digit
+# int/str limit: 4AB of the rank pair has 4,805 digits, and certify of
+# the descent pair builds larger integers still
+@pytest.mark.parametrize("argv", [
+    ["rank", "1" * (MAX_LITERAL_DIGITS + 1), "5"],
+    ["rank", "1" * 2402, "2" * 2402],
+    ["certify", str(-3 * (10 ** 600 + 7) ** 6), str((10 ** 600 + 9) ** 6)],
+], ids=["one-digit-over-the-cap", "rank-2402-digits",
+        "certify-descent-3601-digits"])
+def test_huge_literals_are_a_usage_error(argv, capsys):
+    assert run_cli(argv) == 2
+    assert "digits, above the limit" in capsys.readouterr().err
 
 
 def test_rank_accepts_fraction_literals(capsys):
@@ -208,6 +224,22 @@ def test_census_bound_above_the_cap_is_refused(capsys):
     assert time.perf_counter() - start < 1
     out, err = capsys.readouterr()
     assert out == "" and "--bound is above the limit" in err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_census_into_a_closed_pipe_exits_1_without_traceback(jobs):
+    with subprocess.Popen(
+            [sys.executable, "-m", "sexticrank.cli", "census", "--bound",
+             "100", "--jobs", jobs],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=CHILD_ENV) as proc:
+        assert proc.stdout.readline().startswith(b"A\tB\t")
+        proc.stdout.close()
+        try:
+            assert proc.wait(timeout=30) == 1
+        finally:
+            proc.kill()
+        assert b"Traceback" not in proc.stderr.read()
 
 
 def test_oracle_text(capsys):
@@ -367,6 +399,31 @@ def test_verify_off_curve_tamper_ends_quickly(tamper, k, cert_1_16, tmp_path):
     assert f"k={k}: multiples 1..6 all nonzero" in failures
 
 
+@pytest.fixture(scope="module")
+def cert_neg3_1():
+    return certificate_to_json(full_certificate(-3, 1))
+
+
+def _negated(text):
+    x, y = parse_point(text)
+    return f"({x.to_str('s')}, {(-y).to_str('s')})"
+
+
+def _x_moved(text):
+    x, y = parse_point(text)
+    return f"({(x + 1).to_str('s')}, {y.to_str('s')})"
+
+
+@pytest.mark.parametrize("move", [_negated, _x_moved],
+                         ids=["negated", "x-off-curve"])
+def test_verify_tampered_pre_descent_point_fails_only_descent(
+        move, cert_neg3_1, tmp_path):
+    pre = cert_neg3_1["witnesses"][0]["pre_descent_point"]
+    data = _with("pre_descent_point", move(pre), witness=0)(cert_neg3_1)
+    failures = verify_in_subprocess(tmp_path, data)
+    assert failures == ["k=3: descent reconstruction matches"]
+
+
 # the last point's x would be an integer of 2^30 bits
 @pytest.mark.parametrize("point", ["((s+1)^100000, s + 8)", "(s^20000, s + 8)",
                                    "(((((2^64)^64)^64)^64)^64, s + 8)"])
@@ -391,9 +448,11 @@ def test_verify_point_with_large_coprime_denominators_ends(cert_1_16, tmp_path):
     (lambda data: [data], "no field 'A'"),
     (_with("A", "0"), "nonzero"),
     (_with("A", "1.5"), "'1.5' is not an integer or p/q rational literal"),
+    (_with("A", "1" * (MAX_LITERAL_DIGITS + 1)), "digits, above the limit"),
     (_with("k", "one", witness=0), "field 'k' is 'one'"),
     (_with("k", 7, witness=0), "field 'k' is 7"),
-], ids=["no-witnesses", "list", "A-zero", "A-decimal", "k-one", "k-seven"])
+], ids=["no-witnesses", "list", "A-zero", "A-decimal", "A-too-many-digits",
+        "k-one", "k-seven"])
 def test_verify_malformed_certificate_is_a_named_failure(mutate, named,
                                                          cert_1_16, tmp_path):
     failures = verify_in_subprocess(tmp_path, mutate(cert_1_16))

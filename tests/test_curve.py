@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
 
@@ -17,6 +17,11 @@ from sexticrank.funcfield import Poly, RatFunc, parse_point
 def const_point(x, y, field=Fraction):
     return CurvePoint(RatFunc.constant(field(x), field),
                       RatFunc.constant(field(y), field))
+
+
+def multiples(E, P, n):
+    """[P, 2P, ..., nP] by repeated addition."""
+    return list(accumulate([P] * n, E.add))
 
 
 def test_constructors():
@@ -69,12 +74,11 @@ def test_group_law_frozen_values():
     assert P2 == const_point(0, 1)
     P3 = E.add(P2, P)
     assert P3 == const_point(-1, 0)
-    assert E.scalar_mul(4, P) == const_point(0, -1)
-    assert E.scalar_mul(5, P) == const_point(2, -3)
-    assert E.scalar_mul(6, P) == O
-    for n in range(1, 6):
-        assert E.scalar_mul(n, P) != O
-    assert E.scalar_mul(-1, P) == E.negate(P)
+    nP = multiples(E, P, 6)
+    assert nP[3] == const_point(0, -1)
+    assert nP[4] == const_point(2, -3)
+    assert nP[5] == O
+    assert O not in nP[:5]
     assert E.add(P, E.negate(P)) == O
     assert E.add(P, O) == P
 
@@ -84,13 +88,13 @@ def test_three_torsion_at_x_zero():
     E = FunctionFieldCurve(Poly([0, 0, 1]))
     P = CurvePoint(RatFunc.constant(0), RatFunc(Poly([0, 1])))
     assert E.add(P, P) == E.negate(P)
-    assert E.scalar_mul(3, P) == O
+    assert multiples(E, P, 3)[2] == O
 
 
 def test_group_law_associativity_on_torsion():
     E = FunctionFieldCurve(Poly([1])).lift()
     P = const_point(2, 3, QuadExt)
-    pts = [E.scalar_mul(n, P) for n in range(6)]
+    pts = [O] + multiples(E, P, 5)
     pts += [E.tau(Q) for Q in pts if not Q.is_infinity]
     for a, b, c in product(pts[:7], repeat=3):
         assert E.add(E.add(a, b), c) == E.add(a, E.add(b, c))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sexticrank.exactnum import (
+    MAX_LITERAL_DIGITS,
     OMEGA,
     FactorBudgetExceeded,
     QuadExt,
@@ -13,7 +14,9 @@ from sexticrank.exactnum import (
     factorint,
     is_kth_power,
     is_square_or_neg3_square,
+    parse_rational,
     sixth_power_class,
+    square_and_multiply,
 )
 
 rationals = st.fractions(
@@ -82,6 +85,38 @@ def test_quadext_known_values():
     assert OMEGA.conj() == OMEGA ** 2
     assert (v / v) == 1
     assert str(OMEGA) == "-1/2 + 1/2*sqrt(-3)"
+
+
+class _Exponent:
+    """A power of a formal base that counts the products that built it."""
+
+    def __init__(self, e, counts):
+        self.e, self.counts = e, counts
+
+    def __mul__(self, other):
+        self.counts["squarings" if self is other else "products"] += 1
+        return _Exponent(self.e + other.e, self.counts)
+
+
+def test_square_and_multiply_stops_squaring_at_the_top_bit():
+    for n in range(1, 71):
+        counts = {"squarings": 0, "products": 0}
+        power = square_and_multiply(_Exponent(0, counts),
+                                    _Exponent(1, counts), n)
+        assert power.e == n
+        assert counts == {"squarings": n.bit_length() - 1,
+                          "products": bin(n).count("1")}
+
+
+def test_parse_rational_caps_the_digits_of_numerator_and_denominator():
+    half = MAX_LITERAL_DIGITS // 2
+    nines = "9" * MAX_LITERAL_DIGITS
+    assert parse_rational("-" + nines) == 1 - 10 ** MAX_LITERAL_DIGITS
+    assert parse_rational("7" * half + "/" + "3" * half) == Fraction(7, 3)
+    for text in ("9" * (MAX_LITERAL_DIGITS + 1),
+                 "7" * half + "/" + "3" * (half + 1)):
+        with pytest.raises(ValueError, match="digits, above the limit"):
+            parse_rational(text)
 
 
 def test_factorint_known_values():

@@ -155,6 +155,22 @@ def test_multiples_nonzero():
     assert not multiples_nonzero(E, O, 6)
 
 
+def test_multiples_nonzero_takes_one_running_sum(monkeypatch):
+    # P, 2P, ..., 6P on the first smooth fibre: five additions, no doublings
+    w = subfamily_generator(1, 16, 2)
+    W = base_change_embed(w.point, (2, 1), (0, 6))
+    calls = []
+    add = FunctionFieldCurve.add
+
+    def counted(self, P, Q):
+        calls.append((P, Q))
+        return add(self, P, Q)
+
+    monkeypatch.setattr(FunctionFieldCurve, "add", counted)
+    assert multiples_nonzero(FunctionFieldCurve.sextic(1, 16), W, 6)
+    assert len(calls) <= 5
+
+
 # -- certificates ------------------------------------------------------------------
 
 CERT_CASES = [
