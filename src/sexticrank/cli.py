@@ -166,9 +166,12 @@ def cmd_certify(args, parser) -> int:
     data = certificate_to_json(cert)
     failures = [c.name for c in cert.checks if not c.passed]
     if args.output:
-        with open(args.output, "w") as fh:
-            json.dump(data, fh, indent=2)
-            fh.write("\n")
+        try:
+            with open(args.output, "w") as fh:
+                json.dump(data, fh, indent=2)
+                fh.write("\n")
+        except OSError as exc:
+            parser.error(f"cannot write certificate: {exc}")
     if args.format == "json":
         print(json.dumps(data, indent=2))
     else:

@@ -673,15 +673,24 @@ def parse_ratfunc(text: str, var: Optional[str] = None) -> RatFunc:
     over Q(sqrt(-3)).  The variable name is inferred from the first
     identifier unless pinned with ``var``.
     """
-    f = _Parser(text, var).parse()
+    return _parse_with_var(text, var)[0]
+
+
+def _parse_with_var(text: str, var: Optional[str]):
+    """parse_ratfunc's result and the variable name read (None if none)."""
+    parser = _Parser(text, var)
+    f = parser.parse()
     try:
-        return restrict_to_rational(f)
+        return restrict_to_rational(f), parser.var
     except ValueError:
-        return f
+        return f, parser.var
 
 
 def parse_point(text: str, var: Optional[str] = None):
-    """Parse "(x, y)" with x and y in the display grammar, or "O"."""
+    """Parse "(x, y)" with x and y in the display grammar, or "O".
+
+    x and y share one variable: the pinned var, or else the one x names
+    (or, for a constant x, the one y names)."""
     s = text.strip()
     if s == "O":
         return None
@@ -695,7 +704,6 @@ def parse_point(text: str, var: Optional[str] = None):
         elif ch == ")":
             depth -= 1
         elif ch == "," and depth == 0:
-            x = parse_ratfunc(body[:i], var)
-            y = parse_ratfunc(body[i + 1:], var)
-            return x, y
+            x, var = _parse_with_var(body[:i], var)
+            return x, parse_ratfunc(body[i + 1:], var)
     raise ValueError(f"no top-level comma in point {text!r}")

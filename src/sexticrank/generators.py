@@ -36,7 +36,7 @@ from .exactnum import (
     parse_rational,
 )
 from .funcfield import Poly, RatFunc, lift_to_ext, parse_point
-from .rankalg import RankBreakdown, rank_breakdown
+from .rankalg import CRITERIA, RankBreakdown, criterion_values, rank_breakdown
 
 __all__ = [
     "GeneratorWitness",
@@ -71,89 +71,57 @@ class GeneratorWitness:
     construction: str
 
 
-def _sqrt_maybe_twisted(v: Fraction):
-    """A square root of v in Q or Q(sqrt(-3)), or (None, False).
-
-    In the twisted case -3v = d^2 and (d/3)*sqrt(-3) squares to v.
-    """
-    sq = is_square_or_neg3_square(v)
-    if sq.kind == "square":
-        return sq.root, False
-    if sq.kind == "neg3_square":
-        return QuadExt(0, Fraction(sq.root, 3)), True
-    return None, False
-
-
 def subfamily_generator(A, B, k: int) -> Optional[GeneratorWitness]:
     """The closed-form generator on y^2 = x^3 + s^k (A s + B).
 
-    Returns None when criterion k fails for (A, B).  The k = 3, 4
+    Returns None when criterion k (``CRITERIA[k]``) fails for (A, B).
+    Its cube root c and square root r give the point; r lies in
+    Q(sqrt(-3)) when only -3 times the value is a square.  The k = 3, 4
     points are the k = 2, 1 points of the swapped pair (B, A) pushed
     through the parameter inversion s -> 1/s, (x, y) -> (s^2 x, s^3 y).
     """
     A, B = Fraction(A), Fraction(B)
     if A == 0 or B == 0:
         raise ValueError("A and B must be nonzero")
-    if k not in (1, 2, 3, 4):
+    if k not in CRITERIA:
         raise ValueError("k must be 1, 2, 3 or 4")
-
+    values = criterion_values(A, B)
+    cube_name, square_name = CRITERIA[k]
+    c = is_kth_power(values[cube_name], 3)
+    if c is None:
+        return None
+    sq = is_square_or_neg3_square(values[square_name])
+    if sq.kind == "neither":
+        return None
+    twisted = sq.kind == "neg3_square"
+    # -3v = d^2 makes (d/3)*sqrt(-3) a square root of v
+    r = QuadExt(0, Fraction(sq.root, 3)) if twisted else sq.root
     if k == 1:
-        root = is_kth_power(4 * A * B, 3)
-        if root is None:
-            return None
-        alpha, twisted = _sqrt_maybe_twisted(A)
-        if alpha is None:
-            return None
-        gamma = B / root
-        x = Poly([gamma])
-        y = Poly([alpha * (B / (2 * A)), alpha], QuadExt if twisted else Fraction)
+        x, y = [B / c], [r * (B / (2 * A)), r]
         construction = ("x the cube root of B^2/(4A), "
                         "y = sqrt(A) * (s + B/(2A))")
     elif k == 2:
-        cbrt_a = is_kth_power(A, 3)
-        if cbrt_a is None:
-            return None
-        beta, twisted = _sqrt_maybe_twisted(B)
-        if beta is None:
-            return None
-        x = Poly([0, -cbrt_a])
-        y = Poly([0, beta], QuadExt if twisted else Fraction)
+        x, y = [0, -c], [0, r]
         construction = "x = -cbrt(A)*s, y = sqrt(B)*s"
     elif k == 3:
-        cbrt_b = is_kth_power(B, 3)
-        if cbrt_b is None:
-            return None
-        beta, twisted = _sqrt_maybe_twisted(A)
-        if beta is None:
-            return None
-        x = Poly([0, -cbrt_b])
-        y = Poly([0, 0, beta], QuadExt if twisted else Fraction)
+        x, y = [0, -c], [0, 0, r]
         construction = ("parameter inversion of the k=2 point of the "
                         "swapped pair: x = -cbrt(B)*s, y = sqrt(A)*s^2")
     else:
-        root = is_kth_power(4 * A * B, 3)
-        if root is None:
-            return None
-        alpha, twisted = _sqrt_maybe_twisted(B)
-        if alpha is None:
-            return None
-        gamma = A / root
-        x = Poly([0, 0, gamma])
-        y = Poly([0, 0, alpha, alpha * (A / (2 * B))],
-                 QuadExt if twisted else Fraction)
+        x, y = [0, 0, A / c], [0, 0, r, r * (A / (2 * B))]
         construction = ("parameter inversion of the k=1 point of the "
                         "swapped pair: x = cbrt(A^2/(4B))*s^2, "
                         "y = sqrt(B)*(s^2 + A*s^3/(2B))")
+    field = QuadExt if twisted else Fraction
+    point = CurvePoint(RatFunc(Poly(x, field)), RatFunc(Poly(y, field)))
 
     curve = FunctionFieldCurve.subfamily(A, B, k, 1)
     if twisted:
-        field_x = Poly([QuadExt(c) for c in x.coeffs], QuadExt)
-        pre = CurvePoint(RatFunc(field_x), RatFunc(y))
+        pre = point
         point = galois_descent_combine(curve, pre)
         construction += "; then Galois descent: omega-twist plus its conjugate"
     else:
         pre = None
-        point = CurvePoint(RatFunc(x), RatFunc(y))
         curve.require_on_curve(point)
     return GeneratorWitness(k=k, A=A, B=B, curve=curve, point=point,
                             pre_descent=pre, used_descent=twisted,
@@ -179,6 +147,22 @@ def galois_descent_combine(curve: FunctionFieldCurve, P: CurvePoint) -> CurvePoi
     return rational
 
 
+def _base_change_exponents(source, target) -> tuple:
+    """(d, e) of the base change s -> u^d and twist by u^e from
+    source = (k, m) to target = (K, M); ValueError if there is none."""
+    k, m = source
+    K, M = target
+    for pair in (source, target):
+        if tuple(pair) not in LEGAL_KM:
+            raise ValueError(f"illegal exponent pair {pair}")
+    if M % m:
+        raise ValueError(f"no base change from m={m} to M={M}")
+    d = M // m
+    if (d * k - K) % 6:
+        raise ValueError(f"no twist aligns ({k},{m}) with ({K},{M})")
+    return d, (d * k - K) // 6
+
+
 def base_change_embed(P: CurvePoint, source, target) -> CurvePoint:
     """Push a point along s -> u^d between subfamily curves.
 
@@ -190,17 +174,7 @@ def base_change_embed(P: CurvePoint, source, target) -> CurvePoint:
     coefficients to every d-th index and the twist divides by a power
     of u, so a point over a monomial denominator stays over one.
     """
-    k, m = source
-    K, M = target
-    for pair in (source, target):
-        if tuple(pair) not in LEGAL_KM:
-            raise ValueError(f"illegal exponent pair {pair}")
-    if M % m:
-        raise ValueError(f"no base change from m={m} to M={M}")
-    d = M // m
-    if (d * k - K) % 6:
-        raise ValueError(f"no twist aligns ({k},{m}) with ({K},{M})")
-    e = (d * k - K) // 6
+    d, e = _base_change_exponents(source, target)
     if P.is_infinity:
         return P
     field = P.x.field
@@ -490,18 +464,15 @@ def verify_inclusion_chain(A, B) -> list:
     A, B = Fraction(A), Fraction(B)
     results = []
     for source, target in INCLUSION_ARROWS:
-        k, m = source
-        K, M = target
-        d = M // m
-        e = (d * k - K) // 6
-        w = subfamily_generator(A, B, k)
+        d, e = _base_change_exponents(source, target)
+        w = subfamily_generator(A, B, source[0])
         if w is None:
             results.append(InclusionResult(source, target, d, e,
                                            skipped=True, ok=True,
                                            mapped_point=None))
             continue
         mapped = base_change_embed(w.point, source, target)
-        tgt = FunctionFieldCurve.subfamily(A, B, K, M)
+        tgt = FunctionFieldCurve.subfamily(A, B, *target)
         ok = not mapped.is_infinity and tgt.contains(mapped)
         results.append(InclusionResult(source, target, d, e,
                                        skipped=False, ok=ok,

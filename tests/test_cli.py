@@ -296,6 +296,7 @@ PINNED_CERTIFICATE_SHA256 = {
     (1, 16): "69bd0b3943c4149f6725d3fd8765257729a1aebb0d0141eea08e3e721ea25e92",
     (-27, -432):
         "bbbce7068680956fe3e65205e78ba3e72b696b7743782f45b862ed8dabb4bf48",
+    (1, -27): "e6af0a8adf0fcb0ca641a01094f3418b253d8e3800cb121b55a603aba9f1e588",
 }
 
 
@@ -481,6 +482,16 @@ def test_verify_unreadable_certificate_is_a_usage_error(content, tmp_path):
     assert "Traceback" not in proc.stderr
     assert proc.returncode == 2
     assert "cannot read certificate" in proc.stderr
+
+
+@pytest.mark.parametrize("target", ["missing-dir/cert.json", "."],
+                         ids=["no-such-directory", "a-directory"])
+def test_certify_unwritable_output_is_a_usage_error(target, tmp_path, capsys):
+    code = run_cli(["certify", "8", "9", "--output", str(tmp_path / target)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "cannot write certificate" in err
 
 
 def test_oracle_height_above_the_cap_is_refused(capsys):

@@ -91,6 +91,16 @@ def test_parse_point():
         parse_point("t^2 - 1")
 
 
+def test_parse_point_reads_one_variable():
+    x, y = parse_point("(4, s + 8)")
+    assert x == RatFunc.constant(4) and y == RatFunc(Poly([8, 1]))
+    assert parse_point("(s, s^2)", var="s") == (RatFunc(Poly([0, 1])),
+                                               RatFunc(Poly([0, 0, 1])))
+    for text, var in [("(s, t^2)", None), ("(4, t)", "s"), ("(t, t)", "s")]:
+        with pytest.raises(ValueError, match="unexpected name"):
+            parse_point(text, var)
+
+
 def test_parse_degree_cap():
     cap = MAX_PARSE_DEGREE
     assert parse_ratfunc(f"t^{cap}") == RatFunc(Poly.monomial(1, cap))

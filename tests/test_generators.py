@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sexticrank import generators
 from sexticrank.curve import CurvePoint, FunctionFieldCurve, O
 from sexticrank.exactnum import QuadExt
 from sexticrank.funcfield import Poly, RatFunc, parse_ratfunc
@@ -60,6 +61,28 @@ def test_generator_absent_when_criterion_fails():
         subfamily_generator(1, 16, 5)
     with pytest.raises(ValueError):
         subfamily_generator(0, 1, 1)
+
+
+@pytest.mark.parametrize("A,B", [(1, 16), (-27, -432), (2, 3), (8, 5),
+                                 (16, 8), (-3, 1)])
+def test_generator_takes_one_cube_root_then_one_square_test(A, B, monkeypatch):
+    # the cube test of criterion k comes first, and a failed one ends it
+    calls = []
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls.append(name)
+            return f(*args)
+        return wrapper
+
+    for name, f in (("cube", generators.is_kth_power),
+                    ("square", generators.is_square_or_neg3_square)):
+        monkeypatch.setattr(generators, f.__name__, counted(name, f))
+    for comp in rank_breakdown(A, B).reasons:
+        calls.clear()
+        subfamily_generator(A, B, comp.k)
+        cube = comp.cube_root is not None
+        assert calls == (["cube", "square"] if cube else ["cube"]), comp.k
 
 
 # -- Galois descent -------------------------------------------------------------

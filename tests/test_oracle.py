@@ -48,7 +48,12 @@ def test_heights_ordered_is_canonical(h):
 def test_sigma_equations_direct_k1():
     eqs = sigma_equations(1, 16, 1, DIRECT_SHAPES[1])
     assert [e.degree for e in eqs] == [0, 1, 2]
-    assert [len(e.monomials) for e in eqs] == [2, 3, 2]
+    # b0*b1 and b1*b0 are one monomial 2*b0*b1
+    assert [len(e.monomials) for e in eqs] == [2, 2, 2]
+    # no monomial repeats, here or in the widest shape (a0^2*a1 and so on)
+    for eq in eqs + sigma_equations(-12, 36, 1, FULL_SHAPE):
+        monomials = [tuple(sorted(ws)) for _, ws in eq.monomials]
+        assert len(set(monomials)) == len(monomials), eq
     # the known point (4, s + 8) is a common zero
     sol = {"a0": Fraction(4), "b0": Fraction(8), "b1": Fraction(1)}
     assert all(e.evaluate(sol) == 0 for e in eqs)
