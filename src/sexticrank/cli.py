@@ -68,6 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("A", type=rational_arg)
     p.add_argument("B", type=rational_arg)
     p.add_argument("--format", choices=["text", "json"], default="text")
+    p.set_defaults(run=cmd_rank)
 
     p = sub.add_parser(
         "certify",
@@ -78,15 +79,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", metavar="FILE",
                    help="also write the certificate JSON to FILE")
     p.add_argument("--verify", metavar="FILE",
-                   help="re-verify an existing certificate file; "
-                        "A and B are then not needed")
+                   help="re-verify an existing certificate file, "
+                        "given without A, B or --output")
+    p.set_defaults(run=cmd_certify)
 
     p = sub.add_parser("census",
                        help="stream all sixth-power-free pairs up to a bound")
     p.add_argument("--bound", type=positive_int, required=True)
     p.add_argument("--jobs", type=positive_int, default=1)
-    p.add_argument("--format", choices=["tsv", "text"], default="tsv",
-                   help="text is an alias; the body is the same TSV")
+    p.set_defaults(run=cmd_census)
 
     p = sub.add_parser("oracle",
                        help="independent bounded-height point search")
@@ -96,17 +97,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict to one component (default: all four)")
     p.add_argument("--height", type=positive_int, default=12)
     p.add_argument("--format", choices=["text", "json"], default="text")
+    p.set_defaults(run=cmd_oracle)
 
     return parser
 
 
-def _require_nonzero(parser, args):
+def _require_nonzero(args):
     if args.A is None or args.B is None:
-        parser.error("A and B are required")
+        _PARSER.error("A and B are required")
     if args.A == 0:
-        parser.error("A must be nonzero")
+        _PARSER.error("A must be nonzero")
     if args.B == 0:
-        parser.error("B must be nonzero")
+        _PARSER.error("B must be nonzero")
 
 
 def _component_text(reason) -> str:
@@ -130,6 +132,7 @@ def _component_text(reason) -> str:
 
 
 def cmd_rank(args) -> int:
+    _require_nonzero(args)
     bd = rank_breakdown(args.A, args.B)
     if args.format == "json":
         print(json.dumps(breakdown_to_json(bd), indent=2))
@@ -149,19 +152,21 @@ def cmd_rank(args) -> int:
     return 0
 
 
-def cmd_certify(args, parser) -> int:
+def cmd_certify(args) -> int:
     if args.verify:
+        if args.A is not None or args.B is not None or args.output:
+            _PARSER.error("--verify takes no A, B or --output")
         # ValueError covers bad JSON and bytes that are not UTF-8, and
         # RecursionError JSON nested deeper than the interpreter's stack
         try:
             with open(args.verify, encoding="utf-8") as fh:
                 data = json.load(fh)
         except (OSError, ValueError, RecursionError) as exc:
-            parser.error(f"cannot read certificate: {exc}")
+            _PARSER.error(f"cannot read certificate: {exc}")
         report = verify_certificate_json(data)
         return _emit_verification(report, args.format)
 
-    _require_nonzero(parser, args)
+    _require_nonzero(args)
     cert = full_certificate(args.A, args.B)
     data = certificate_to_json(cert)
     failures = [c.name for c in cert.checks if not c.passed]
@@ -171,18 +176,17 @@ def cmd_certify(args, parser) -> int:
                 json.dump(data, fh, indent=2)
                 fh.write("\n")
         except OSError as exc:
-            parser.error(f"cannot write certificate: {exc}")
+            _PARSER.error(f"cannot write certificate: {exc}")
     if args.format == "json":
         print(json.dumps(data, indent=2))
     else:
         print(f"A = {cert.A}, B = {cert.B}: rank {cert.rank}")
-        for w in cert.witnesses:
-            sub = next(item for item in data["witnesses"] if item["k"] == w.k)
-            print(f"witness k={w.k}: {sub['subfamily_point']}"
-                  f" on {sub['subfamily']}")
-            print(f"  construction: {sub['construction']}"
-                  + (" (Galois descent)" if w.used_descent else ""))
-            print(f"  embeds as {sub['embedded_point']}")
+        for w in data["witnesses"]:
+            print(f"witness k={w['k']}: {w['subfamily_point']}"
+                  f" on {w['subfamily']}")
+            print(f"  construction: {w['construction']}"
+                  + (" (Galois descent)" if w["used_descent"] else ""))
+            print(f"  embeds as {w['embedded_point']}")
         total = len(cert.checks)
         print(f"checks passed: {total - len(failures)}/{total}")
         for name in failures:
@@ -207,6 +211,8 @@ def _emit_verification(report, fmt: str) -> int:
 
 
 def cmd_census(args) -> int:
+    if args.bound > MAX_CENSUS_BOUND:
+        _PARSER.error(f"--bound is above the limit of {MAX_CENSUS_BOUND}")
     histogram = {}
     pairs = 0
     disagreements = []
@@ -233,6 +239,9 @@ def cmd_census(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    _require_nonzero(args)
+    if args.height > MAX_HEIGHT:
+        _PARSER.error(f"--height is above the limit of {MAX_HEIGHT}")
     ks = [args.k] if args.k else [1, 2, 3, 4]
     results = [cross_validate(args.A, args.B, k, height=args.height)
                for k in ks]
@@ -265,9 +274,13 @@ def cmd_oracle(args) -> int:
     return 0 if all(cv.agrees for cv in results) else 1
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        return _dispatch(argv)
+        args = _PARSER.parse_args(argv)
+        return args.run(args)
     except BrokenPipeError:
         # the reader closed stdout early, as `| head` does; point the
         # descriptor at devnull so the interpreter's final flush is quiet
@@ -275,26 +288,6 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-
-
-def _dispatch(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "rank":
-        _require_nonzero(parser, args)
-        return cmd_rank(args)
-    if args.command == "certify":
-        return cmd_certify(args, parser)
-    if args.command == "census":
-        if args.bound > MAX_CENSUS_BOUND:
-            parser.error(f"--bound is above the limit of {MAX_CENSUS_BOUND}")
-        return cmd_census(args)
-    if args.command == "oracle":
-        _require_nonzero(parser, args)
-        if args.height > MAX_HEIGHT:
-            parser.error(f"--height is above the limit of {MAX_HEIGHT}")
-        return cmd_oracle(args)
-    parser.error(f"unknown command {args.command!r}")
 
 
 if __name__ == "__main__":

@@ -372,6 +372,11 @@ def verify_certificate_json(data) -> VerificationReport:
         A = _rational_field(data, "A")
         B = _rational_field(data, "B")
         witnesses = _field(data, "witnesses", list)
+        # more witnesses than criteria cannot have distinct indices, so
+        # refuse them before parsing any point
+        if len(witnesses) > len(CRITERIA):
+            raise ValueError(f"{len(witnesses)} witnesses, more than the "
+                             f"{len(CRITERIA)} criteria")
         bd = rank_breakdown(A, B)
     except ValueError as exc:
         return VerificationReport(

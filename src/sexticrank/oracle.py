@@ -159,25 +159,19 @@ def sigma_equations(A, B, k: int, shape: SearchShape) -> list:
             for n in range(max(len(terms), k + 2))]
 
 
-def heights_ordered(height: int) -> list:
+@lru_cache(maxsize=4)
+def heights_ordered(height: int) -> tuple:
     """Reduced rationals of height max(|p|, q) <= height.
 
     Ordered by height, then denominator, then numerator: a canonical,
-    deterministic enumeration.
+    deterministic enumeration.  Cached per height, since every search
+    at one height enumerates the same values.
     """
-    vals = []
-    for h in range(1, height + 1):
-        layer = []
-        for q in range(1, h):
-            if gcd(h, q) == 1:
-                layer.append((q, -h))
-                layer.append((q, h))
-        for p in range(-h, h + 1):
-            if gcd(abs(p), h) == 1:
-                layer.append((h, p))
-        layer.sort()
-        vals.extend(Fraction(p, q) for q, p in layer)
-    return vals
+    return tuple(sorted(
+        (Fraction(p, q) for q in range(1, height + 1)
+         for p in range(-height, height + 1) if gcd(p, q) == 1),
+        key=lambda v: (max(abs(v.numerator), v.denominator), v.denominator,
+                       v.numerator)))
 
 
 def _solve_single(eq: Equation, var: str, assign):

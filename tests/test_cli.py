@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -179,6 +180,61 @@ def test_certify_output_verify_roundtrip(tmp_path, capsys):
 
 def test_certify_verify_unreadable_file(tmp_path, capsys):
     assert run_cli(["certify", "--verify", str(tmp_path / "missing.json")]) == 2
+
+
+@pytest.mark.parametrize("extra", [["1", "16"], ["--output", "G.json"]],
+                         ids=["with-pair", "with-output"])
+def test_certify_verify_refuses_pair_and_output(extra, tmp_path, capsys,
+                                                monkeypatch):
+    path = tmp_path / "cert.json"
+    assert run_cli(["certify", "8", "9", "--output", str(path)]) == 0
+    capsys.readouterr()
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["certify", *extra, "--verify", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        "sexticrank: error: --verify takes no A, B or --output")
+    assert not (tmp_path / "G.json").exists()
+
+
+#: the last stderr line of each usage error a command checks itself
+@pytest.mark.parametrize("argv,message", [
+    (["rank", "0", "5"], "A must be nonzero"),
+    (["rank", "5", "0"], "B must be nonzero"),
+    (["certify"], "A and B are required"),
+    (["certify", "0", "1"], "A must be nonzero"),
+    (["certify", "1", "0"], "B must be nonzero"),
+    (["census", "--bound", "10001"], "--bound is above the limit of 10000"),
+    (["oracle", "0", "16"], "A must be nonzero"),
+    (["oracle", "1", "0"], "B must be nonzero"),
+    (["oracle", "1", "16", "--height", "21"],
+     "--height is above the limit of 20"),
+    (["census", "--bound", "2", "--format", "tsv"],
+     "unrecognized arguments: --format tsv"),
+], ids=["rank-A-zero", "rank-B-zero", "certify-no-pair", "certify-A-zero",
+        "certify-B-zero", "census-bound-cap", "oracle-A-zero", "oracle-B-zero",
+        "oracle-height-cap", "census-format"])
+def test_usage_errors(argv, message, capsys):
+    assert run_cli(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == f"sexticrank: error: {message}"
+
+
+def test_main_builds_no_parser(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (["rank", "1", "16"], ["rank", "2", "3", "--format", "json"],
+                 ["census", "--bound", "1"]):
+        assert run_cli(argv) == 0
+    assert built == []
 
 
 CENSUS_BOUND_1 = """\
@@ -458,6 +514,21 @@ def test_verify_malformed_certificate_is_a_named_failure(mutate, named,
                                                          cert_1_16, tmp_path):
     failures = verify_in_subprocess(tmp_path, mutate(cert_1_16))
     assert any(named in name for name in failures), failures
+
+
+def test_verify_refuses_more_witnesses_than_criteria_at_once(
+        cert_1_16, tmp_path, capsys):
+    data = json.loads(json.dumps(cert_1_16))
+    data["witnesses"] += data["witnesses"][:2]
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(data))
+    start = time.perf_counter()
+    assert run_cli(["certify", "--verify", str(path)]) == 1
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().out.splitlines() == [
+        "FAIL malformed certificate: 5 witnesses, more than the 4 criteria",
+        "certificate DOES NOT verify",
+    ]
 
 
 def test_verify_deeply_nested_point_is_a_named_failure(cert_1_16, tmp_path):

@@ -45,6 +45,13 @@ def test_heights_ordered_is_canonical(h):
     assert set(vals) == expect
 
 
+def test_one_height_builds_its_values_once():
+    heights_ordered.cache_clear()
+    for k in (1, 2, 3, 4):
+        cross_validate(8, 9, k, height=5)
+    assert heights_ordered.cache_info().misses == 1
+
+
 def test_sigma_equations_direct_k1():
     eqs = sigma_equations(1, 16, 1, DIRECT_SHAPES[1])
     assert [e.degree for e in eqs] == [0, 1, 2]
