@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 from typing import Optional
 
 from .curve import CurvePoint, FunctionFieldCurve
@@ -82,8 +82,8 @@ DESCENT_SHAPES = {
 
 #: largest coefficient height searched: heights_ordered(H) has about
 #: 1.2 H^2 values, and the descent-shape search `oracle -12 36 --k 1
-#: --height H` took 6 s at H = 12, 34 s at 18, 42 s at 20 and 57 s
-#: at 24 (CPython 3.11, 2-core x86-64 machine)
+#: --height H` takes 2 s at H = 12, 8.5 s at 16 and 12 s at 20
+#: (CPython 3.11, 2-core x86-64 machine)
 MAX_HEIGHT = 20
 
 
@@ -92,43 +92,65 @@ class Equation:
 
     Monomials are (rational coefficient, sorted tuple of variable
     names), each tuple once; the empty tuple is the constant term.
+
+    The search evaluates an integer form of them, built once.  It takes
+    each value as a reduced pair (p, q), q > 0, standing for p/q.  A
+    term is an integer coefficient, the monomial's times the lcm D of
+    the equation's denominators, with (v, e, deg_v - e) for every
+    variable v of the equation: e is the monomial's exponent of v and
+    deg_v the degree of the equation in v.  So ``evaluate`` returns the
+    equation's value times the positive factor D * prod q_v^deg_v, and
+    is zero exactly where the value is, with the same sign.
     """
 
-    __slots__ = ("degree", "monomials", "vars")
+    __slots__ = ("degree", "monomials", "vars", "degrees", "terms")
 
     def __init__(self, degree: int, monomials):
         self.degree = degree
         self.monomials = tuple(monomials)
-        self.vars = frozenset(v for _, ws in self.monomials for v in ws)
+        self.degrees = {}
+        for _, ws in self.monomials:
+            for v in ws:
+                self.degrees[v] = max(self.degrees.get(v, 0), ws.count(v))
+        self.vars = frozenset(self.degrees)
+        D = lcm(*(c.denominator for c, _ in self.monomials))
+        order = sorted(self.degrees.items())
+        self.terms = tuple(
+            (c.numerator * (D // c.denominator),
+             tuple((v, ws.count(v), deg - ws.count(v)) for v, deg in order))
+            for c, ws in self.monomials)
 
-    def evaluate(self, assign) -> Fraction:
-        total = Fraction(0)
-        for c, ws in self.monomials:
-            term = c
-            for w in ws:
-                term *= assign[w]
-            total += term
+    def evaluate(self, assign) -> int:
+        """The value at assign, of pairs for every variable, times
+        D * prod q_v^deg_v."""
+        total = 0
+        for c, factors in self.terms:
+            for v, e, f in factors:
+                p, q = assign[v]
+                c *= p ** e * q ** f
+            total += c
         return total
 
     def coeffs_in(self, var: str, assign) -> list:
         """Coefficients [c0, c1, ...] of the equation as a polynomial in
-        var, all other variables taken from assign."""
-        out = [Fraction(0)] * 4
-        for c, ws in self.monomials:
+        var, all other variables taken from assign, each times the one
+        positive factor D * prod q_w^deg_w over the other variables."""
+        out = [0] * 4
+        for c, factors in self.terms:
             d = 0
-            term = c
-            for w in ws:
-                if w == var:
-                    d += 1
+            for v, e, f in factors:
+                if v == var:
+                    d = e
                 else:
-                    term *= assign[w]
-            out[d] += term
+                    p, q = assign[v]
+                    c *= p ** e * q ** f
+            out[d] += c
         while len(out) > 1 and not out[-1]:
             out.pop()
         return out
 
     def degree_of(self, var: str) -> int:
-        return max((ws.count(var) for _, ws in self.monomials), default=0)
+        return self.degrees.get(var, 0)
 
     def __repr__(self):
         return f"Equation(s^{self.degree}, {len(self.monomials)} terms)"
@@ -136,27 +158,32 @@ class Equation:
 
 @lru_cache(maxsize=64)
 def _square_minus_cube(shape: SearchShape) -> tuple:
-    """Per degree, the monomials of y(s)^2 - x(s)^3 over the shape as
-    (coefficient, sorted variable tuple), each tuple once: b0*b1 and
-    b1*b0 make one monomial 2*b0*b1."""
+    """Per degree, the equation of y(s)^2 - x(s)^3 over the shape, with
+    monomials (coefficient, sorted variable tuple), each tuple once:
+    b0*b1 and b1*b0 make one monomial 2*b0*b1.  Built once per shape,
+    since all but two of a search's equations are these."""
     xs, ys = shape.x_support, shape.y_support
     monos = [Counter() for _ in range(max(2 * max(ys), 3 * max(xs)) + 1)]
     for js in product(ys, repeat=2):
         monos[sum(js)][tuple(sorted(f"b{j}" for j in js))] += 1
     for js in product(xs, repeat=3):
         monos[sum(js)][tuple(sorted(f"a{j}" for j in js))] -= 1
-    return tuple(tuple((Fraction(c), ws) for ws, c in terms.items())
-                 for terms in monos)
+    return tuple(Equation(n, ((Fraction(c), ws) for ws, c in terms.items()))
+                 for n, terms in enumerate(monos))
 
 
 def sigma_equations(A, B, k: int, shape: SearchShape) -> list:
     """The coefficient equations of y(s)^2 - x(s)^3 - s^k (A s + B)."""
     A, B = Fraction(A), Fraction(B)
-    terms = _square_minus_cube(shape)
-    constant = {k: ((-B, ()),), k + 1: ((-A, ()),)}
-    return [Equation(n, (terms[n] if n < len(terms) else ())
-                     + constant.get(n, ()))
-            for n in range(max(len(terms), k + 2))]
+    shape_eqs = _square_minus_cube(shape)
+    constant = {k: -B, k + 1: -A}
+    eqs = []
+    for n in range(max(len(shape_eqs), k + 2)):
+        eq = shape_eqs[n] if n < len(shape_eqs) else Equation(n, ())
+        if n in constant:
+            eq = Equation(n, eq.monomials + ((constant[n], ()),))
+        eqs.append(eq)
+    return eqs
 
 
 @lru_cache(maxsize=4)
@@ -177,30 +204,30 @@ def heights_ordered(height: int) -> tuple:
 def _solve_single(eq: Equation, var: str, assign):
     """Solve eq = 0 for its one unassigned variable.
 
-    Returns ("roots", [...]) with every rational root, ("free", None)
-    when the equation is identically satisfied, or ("stuck", None)
-    when the polynomial degree is beyond exact solving here.
+    Returns ("roots", [...]) with every rational root as a reduced pair
+    (p, q), ("free", None) when the equation is identically satisfied,
+    or ("stuck", None) when the polynomial degree is beyond exact
+    solving here.  The coefficients carry one positive factor, which
+    changes neither the roots nor the sign of the discriminant.
     """
     cs = eq.coeffs_in(var, assign)
     deg = len(cs) - 1
     if deg == 0:
         return ("roots", []) if cs[0] else ("free", None)
     if deg == 1:
-        return "roots", [-cs[0] / cs[1]]
-    if deg == 2:
-        disc = cs[1] * cs[1] - 4 * cs[0] * cs[2]
-        if disc < 0:
-            return "roots", []
-        root = is_kth_power(disc, 2)
+        roots = [Fraction(-cs[0], cs[1])]
+    elif deg == 2:
+        root = is_kth_power(cs[1] * cs[1] - 4 * cs[0] * cs[2], 2)
         if root is None:
             return "roots", []
-        r1 = (-cs[1] + root) / (2 * cs[2])
-        r2 = (-cs[1] - root) / (2 * cs[2])
-        return "roots", sorted({r1, r2})
-    if deg == 3 and not cs[1] and not cs[2]:
-        r = is_kth_power(-cs[0] / cs[3], 3)
-        return "roots", ([r] if r is not None else [])
-    return "stuck", None
+        roots = sorted({Fraction(-cs[1] + root, 2 * cs[2]),
+                        Fraction(-cs[1] - root, 2 * cs[2])})
+    elif deg == 3 and not cs[1] and not cs[2]:
+        r = is_kth_power(Fraction(-cs[0], cs[3]), 3)
+        roots = [] if r is None else [r]
+    else:
+        return "stuck", None
+    return "roots", [(r.numerator, r.denominator) for r in roots]
 
 
 def _pick_variable(eqs, variables, assign):
@@ -244,6 +271,8 @@ def search_points(A, B, k: int, shape: SearchShape, height: int) -> tuple:
         raise ValueError("A and B must be nonzero")
     if k not in (1, 2, 3, 4):
         raise ValueError("k must be 1, 2, 3 or 4")
+    if height < 1:
+        raise ValueError(f"height {height} is below 1: nothing to search")
     if height > MAX_HEIGHT:
         raise ValueError(f"height {height} is above the limit of {MAX_HEIGHT}")
     eqs = sigma_equations(A, B, k, shape)
@@ -276,11 +305,11 @@ def search_points(A, B, k: int, shape: SearchShape, height: int) -> tuple:
                 return
         var = _pick_variable(eqs, variables, assign)
         if var is None:
-            solutions.append(dict(assign))
+            solutions.append({v: Fraction(*pq) for v, pq in assign.items()})
             return
         for v in values:
             child = dict(assign)
-            child[var] = v
+            child[var] = (v.numerator, v.denominator)
             dfs(child, done)
 
     dfs({}, frozenset())

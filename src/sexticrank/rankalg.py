@@ -22,8 +22,8 @@ the rows into a rank histogram and counts the pairs where they agree.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -326,6 +326,18 @@ def census_rows(bound: int, jobs: int = 1) -> Iterator[str]:
         return
     size = -(-len(values) // (workers * 4))
     chunks = [(bound, values[i:i + size]) for i in range(0, len(values), size)]
-    with multiprocessing.Pool(workers) as pool:
+    # read off the module, so that __getattr__ imports it on first use
+    # and a stand-in set on the module is the one used
+    with sys.modules[__name__].multiprocessing.Pool(workers) as pool:
         for rows in pool.imap(_census_chunk_list, chunks):
             yield from rows
+
+
+def __getattr__(name):
+    """Import ``multiprocessing`` when first asked for: only a pooled
+    census uses it, and importing it costs every command ~15 ms."""
+    if name != "multiprocessing":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    global multiprocessing
+    import multiprocessing
+    return multiprocessing

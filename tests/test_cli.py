@@ -363,6 +363,35 @@ def test_certify_json_bytes_pinned(A, B, capsys):
     assert digest == PINNED_CERTIFICATE_SHA256[(A, B)]
 
 
+#: sha256 of the stdout of `oracle A B ARGS...`: text and JSON of k=1
+#: descent-shape searches, and JSON of searches over all four k
+PINNED_ORACLE_SHA256 = {
+    ("-27", "54", "--k", "1", "--height", "8"):
+        "f0cf79942876c39daa8648cbd3f0066dcd9bc8a3ee120d7bdae75be46e477096",
+    ("-27", "54", "--k", "1", "--height", "8", "--format", "json"):
+        "a5c38362ffd6f25236f1ac61f008c1173433ff40159da007d79d59c10d1b050c",
+    ("-12", "36", "--k", "1", "--height", "8"):
+        "3fb3dbf8558355f855f4170a55ff941d51d84e926e635f98a91588dc08d42c5c",
+    ("-12", "36", "--k", "1", "--height", "8", "--format", "json"):
+        "7b7e8063fcc74d881b7a049b66c71b86183500baa289f04f816ff78f7f90fa85",
+    ("1", "16", "--height", "12", "--format", "json"):
+        "1124b29550312081ffa17a67ba501dec47f94afa5e0c8dc978671f95638bdfc5",
+    ("8", "9", "--height", "12", "--format", "json"):
+        "5d94293763021c8ed3a8814f72972d2c5e98f22f54a86422c6dc49a6639f1860",
+    ("2", "3", "--height", "12", "--format", "json"):
+        "debd189099e491cc654a376e32ed8ea5a2dcbdab41b6b927ffd9b34470f6bfa6",
+    ("-3", "1", "--height", "12", "--format", "json"):
+        "b412823d3404a8f69e63e0a9faac0e0c039f095ff938d77d92d02502b59605f0",
+}
+
+
+@pytest.mark.parametrize("args", list(PINNED_ORACLE_SHA256))
+def test_oracle_bytes_pinned(args, capsys):
+    assert run_cli(["oracle", *args]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == PINNED_ORACLE_SHA256[args]
+
+
 #: sha256 of the stdout of `census --bound 30`
 PINNED_CENSUS_30_SHA256 = (
     "217bed908288cffe6c2bcad09cbb076991390b257d6d8c2e4f38dd5d8bb80bba")

@@ -62,11 +62,74 @@ def test_sigma_equations_direct_k1():
         monomials = [tuple(sorted(ws)) for _, ws in eq.monomials]
         assert len(set(monomials)) == len(monomials), eq
     # the known point (4, s + 8) is a common zero
-    sol = {"a0": Fraction(4), "b0": Fraction(8), "b1": Fraction(1)}
+    sol = {"a0": (4, 1), "b0": (8, 1), "b1": (1, 1)}
     assert all(e.evaluate(sol) == 0 for e in eqs)
     # and a perturbed assignment is not
-    bad = dict(sol, b0=Fraction(7))
+    bad = dict(sol, b0=(7, 1))
     assert any(e.evaluate(bad) != 0 for e in eqs)
+
+
+def _reference_sum(monomials, values, var=None):
+    """The equation's coefficients in var (its value when var is None)
+    by plain Fraction arithmetic, trailing zeros dropped."""
+    out = [Fraction(0)] * 4
+    for c, ws in monomials:
+        term = c
+        for w in ws:
+            if w != var:
+                term *= values[w]
+        out[ws.count(var)] += term
+    while len(out) > 1 and not out[-1]:
+        out.pop()
+    return out
+
+
+def _sign(x):
+    return (x > 0) - (x < 0)
+
+
+rationals = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+nonzero_rationals = rationals.filter(bool)
+ALL_SHAPES = sorted(set(DIRECT_SHAPES.values()) | set(DESCENT_SHAPES.values()),
+                    key=repr)
+
+
+@st.composite
+def equations_and_values(draw):
+    """A shape, k, rational values for its variables, and A, B; with
+    some draws A or B is chosen so that the equation holding it is 0."""
+    shape = draw(st.sampled_from(ALL_SHAPES))
+    k = draw(st.sampled_from([1, 2, 3, 4]))
+    values = {v: draw(rationals) for v in shape.variables()}
+    A, B = draw(nonzero_rationals), draw(nonzero_rationals)
+    free = sigma_equations(1, 1, k, shape)
+    for degree, solve_for in ((k, "B"), (k + 1, "A")):
+        rest = _reference_sum([m for m in free[degree].monomials if m[1]],
+                              values)[0]
+        if rest and draw(st.booleans()):
+            A, B = (rest, B) if solve_for == "A" else (A, rest)
+    return sigma_equations(A, B, k, shape), values
+
+
+@settings(max_examples=200, deadline=None)
+@given(equations_and_values())
+def test_integer_form_matches_fraction_sum(case):
+    eqs, values = case
+    pairs = {v: (x.numerator, x.denominator) for v, x in values.items()}
+    for eq in eqs:
+        value = _reference_sum(eq.monomials, values)[0]
+        assert _sign(eq.evaluate(pairs)) == _sign(value), eq
+        for var in eq.vars:
+            got = eq.coeffs_in(var, pairs)
+            want = _reference_sum(eq.monomials, values, var)
+            assert len(got) == len(want), (eq, var)
+            scale = next((Fraction(g) / w for g, w in zip(got, want) if w),
+                         None)
+            if scale is None:
+                assert got == [0]
+            else:
+                assert scale > 0
+                assert [Fraction(g) for g in got] == [scale * w for w in want]
 
 
 def test_sigma_equations_constant_term_placement():
@@ -122,6 +185,12 @@ def test_search_rejects_bad_arguments():
         search_points(1, 1, 5, FULL_SHAPE, 12)
     with pytest.raises(ValueError, match="limit"):
         search_points(1, 16, 1, DIRECT_SHAPES[1], MAX_HEIGHT + 1)
+    # an empty search proves nothing, so it is refused, not reported
+    for height in (0, -4):
+        with pytest.raises(ValueError, match="below 1"):
+            search_points(1, 16, 1, DIRECT_SHAPES[1], height)
+        with pytest.raises(ValueError, match="below 1"):
+            cross_validate(2, 3, 1, height=height)
 
 
 def test_found_points_are_sign_normalized():
