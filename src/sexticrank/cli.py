@@ -23,10 +23,8 @@ from .generators import (
     verify_certificate_json,
 )
 from .oracle import MAX_HEIGHT, cross_validate
-from .rankalg import (CRITERIA, MAX_CENSUS_BOUND, breakdown_to_json,
-                      census_rows, rank_breakdown)
-
-_CASE_RANK = {"0": 0, "1": 1, "2a": 2, "2b": 2, "2c": 2, "2d": 2, "3": 3}
+from .rankalg import (CASE_RANK, CRITERIA, MAX_CENSUS_BOUND,
+                      breakdown_to_json, census_rows, rank_breakdown)
 
 
 def rational_arg(text: str) -> Fraction:
@@ -225,7 +223,7 @@ def cmd_census(args) -> int:
         case = fields[9]
         pairs += 1
         histogram[rank] = histogram.get(rank, 0) + 1
-        if _CASE_RANK[case] != rank:
+        if CASE_RANK[case] != rank:
             disagreements.append((fields[0], fields[1]))
     print(f"# pairs {pairs}")
     print("# rank histogram "

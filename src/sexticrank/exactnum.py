@@ -323,7 +323,7 @@ class SixthPowerClass:
 _NEG3_CLASS = SixthPowerClass(-1, {3: 1})
 
 
-def sixth_power_class(x: RationalLike, rho_budget: int = 1_000_000) -> SixthPowerClass:
+def sixth_power_class(x: RationalLike) -> SixthPowerClass:
     """Canonical sixth-power-free class of a nonzero rational.
 
     Two rationals map to the same class exactly when their quotient is
@@ -334,8 +334,8 @@ def sixth_power_class(x: RationalLike, rho_budget: int = 1_000_000) -> SixthPowe
     x = Fraction(x)
     if x == 0:
         raise ValueError("sixth-power class of 0 is undefined")
-    powers = dict(factorint(abs(x.numerator), rho_budget))
-    for p, e in factorint(x.denominator, rho_budget).items():
+    powers = dict(factorint(abs(x.numerator)))
+    for p, e in factorint(x.denominator).items():
         powers[p] = powers.get(p, 0) - e
     return SixthPowerClass(1 if x > 0 else -1, powers)
 

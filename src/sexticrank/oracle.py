@@ -278,7 +278,6 @@ def search_points(A, B, k: int, shape: SearchShape, height: int) -> tuple:
     eqs = sigma_equations(A, B, k, shape)
     variables = shape.variables()
     values = heights_ordered(height)
-    curve = FunctionFieldCurve.subfamily(A, B, k, 1)
     solutions = []
 
     def dfs(assign, done):
@@ -313,12 +312,13 @@ def search_points(A, B, k: int, shape: SearchShape, height: int) -> tuple:
             dfs(child, done)
 
     dfs({}, frozenset())
-    return _collect(solutions, shape, curve)
+    return _collect(solutions, shape, A, B, k) if solutions else ()
 
 
-def _collect(solutions, shape: SearchShape, curve: FunctionFieldCurve) -> tuple:
-    """The distinct points on the curve among the solutions, y up to
-    sign, sorted by their coefficient vectors over the shape."""
+def _collect(solutions, shape: SearchShape, A, B, k: int) -> tuple:
+    """The distinct points on the subfamily curve among the solutions, y
+    up to sign, sorted by their coefficient vectors over the shape."""
+    curve = FunctionFieldCurve.subfamily(A, B, k, 1)
     nx, ny = max(shape.x_support) + 1, max(shape.y_support) + 1
     found = set()
     for assign in solutions:

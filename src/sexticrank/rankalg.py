@@ -26,6 +26,8 @@ import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache, partial
+from itertools import chain
 from typing import Iterator, Optional
 
 from .exactnum import (
@@ -38,6 +40,7 @@ from .exactnum import (
 
 __all__ = [
     "CRITERIA",
+    "CASE_RANK",
     "ComponentReason",
     "RankBreakdown",
     "criterion_values",
@@ -207,6 +210,8 @@ class Classification:
 
 
 _CLASS_FOUR = SixthPowerClass(1, {2: 2})
+#: the rank that each case label of ``_case`` stands for
+CASE_RANK = {"0": 0, "1": 1, "2a": 2, "2b": 2, "2c": 2, "2d": 2, "3": 3}
 
 
 def _case(a, b, cA: SixthPowerClass, cB: SixthPowerClass) -> tuple:
@@ -259,7 +264,7 @@ def classify(A, B) -> Classification:
 
 #: largest census bound: 3.9e8 pairs, about 2.6 h on one process at the
 #: 42,000 pairs/s of bound 500 (2-core machine, CPython 3.11), and 7.6 MB
-#: of per-value tables per chunk; bound 10^5 would take 11 days and 94 MB.
+#: of per-value tables per process; bound 10^5 would take 11 days and 94 MB.
 MAX_CENSUS_BOUND = 10_000
 
 
@@ -282,31 +287,33 @@ def sixth_power_free_values(bound: int) -> list:
 CENSUS_TSV_HEADER = "A\tB\tA_class\tB_class\tr1\tr2\tr3\tr4\trank\tclassify_case"
 
 
-def _census_chunk(bound: int, a_values) -> Iterator[str]:
-    """TSV rows of the pairs (A, B) with A in a_values and B any value.
-
-    Each value's class, cube test and square test are taken once; a
-    pair adds only the cube test of 4AB."""
+@lru_cache(maxsize=1)
+def _value_tables(bound: int) -> tuple:
+    """The values up to bound with each one's class, cube test and square
+    test; kept for the last bound, so a process builds them once per census."""
     values = sixth_power_free_values(bound)
     classes = {v: sixth_power_class(v) for v in values}
     cubes = {v: is_kth_power(v, 3) is not None for v in values}
     squarish = {v: is_square_or_neg3_square(v).kind != "neither"
                 for v in values}
-    for A in a_values:
-        for B in values:
-            cube = {"4AB": is_kth_power(4 * A * B, 3) is not None,
-                    "A": cubes[A], "B": cubes[B]}
-            square = {"A": squarish[A], "B": squarish[B]}
-            r = [int(cube[x] and square[y]) for x, y in CRITERIA.values()]
-            a, b = (B, A) if _prefer_swap(A, B) else (A, B)
-            case = _case(a, b, classes[a], classes[b])[1]
-            yield (f"{A}\t{B}\t{A}\t{B}\t{r[0]}\t{r[1]}\t{r[2]}\t{r[3]}"
-                   f"\t{sum(r)}\t{case}")
+    return values, classes, cubes, squarish
 
 
-def _census_chunk_list(args) -> list:
-    """A worker process's chunk, whole: a generator cannot be sent back."""
-    return list(_census_chunk(*args))
+def _census_rows_of(bound: int, A: int) -> list:
+    """TSV rows of the pairs (A, B), B any value up to bound; a pair
+    adds only the cube test of 4AB to the per-value tables."""
+    values, classes, cubes, squarish = _value_tables(bound)
+    rows = []
+    for B in values:
+        cube = {"4AB": is_kth_power(4 * A * B, 3) is not None,
+                "A": cubes[A], "B": cubes[B]}
+        square = {"A": squarish[A], "B": squarish[B]}
+        r = [int(cube[x] and square[y]) for x, y in CRITERIA.values()]
+        a, b = (B, A) if _prefer_swap(A, B) else (A, B)
+        case = _case(a, b, classes[a], classes[b])[1]
+        rows.append(f"{A}\t{B}\t{A}\t{B}\t{r[0]}\t{r[1]}\t{r[2]}\t{r[3]}"
+                    f"\t{sum(r)}\t{case}")
+    return rows
 
 
 def census_rows(bound: int, jobs: int = 1) -> Iterator[str]:
@@ -315,22 +322,20 @@ def census_rows(bound: int, jobs: int = 1) -> Iterator[str]:
     Canonical pairs are pairs of sixth-power-free integers; every
     E_{A,B} is isomorphic over Q(t) to one with such coefficients.  Each
     row carries the root route's criteria and rank and the class route's
-    case.  The sweep runs on min(jobs, CPU count) processes.  A bound
-    above MAX_CENSUS_BOUND raises ValueError before the header.
+    case.  Each A is one task, run here or on min(jobs, CPU count)
+    processes.  Above MAX_CENSUS_BOUND it raises ValueError before any row.
     """
     values = sixth_power_free_values(bound)
     yield CENSUS_TSV_HEADER
+    task = partial(_census_rows_of, bound)
     workers = min(jobs, os.cpu_count() or 1)
     if workers <= 1:
-        yield from _census_chunk(bound, values)
+        yield from chain.from_iterable(map(task, values))
         return
-    size = -(-len(values) // (workers * 4))
-    chunks = [(bound, values[i:i + size]) for i in range(0, len(values), size)]
     # read off the module, so that __getattr__ imports it on first use
     # and a stand-in set on the module is the one used
     with sys.modules[__name__].multiprocessing.Pool(workers) as pool:
-        for rows in pool.imap(_census_chunk_list, chunks):
-            yield from rows
+        yield from chain.from_iterable(pool.imap(task, values))
 
 
 def __getattr__(name):

@@ -193,6 +193,22 @@ def test_search_rejects_bad_arguments():
             cross_validate(2, 3, 1, height=height)
 
 
+def test_search_that_finds_nothing_builds_no_curve(monkeypatch):
+    built = []
+    subfamily = FunctionFieldCurve.subfamily
+
+    def counting(*args):
+        built.append(args)
+        return subfamily(*args)
+
+    monkeypatch.setattr(FunctionFieldCurve, "subfamily", counting)
+    assert search_points(2, 1, 1, DIRECT_SHAPES[1], 12) == ()
+    assert built == []
+    # a search that finds a point still checks it on the curve
+    assert len(search_points(1, 16, 1, DIRECT_SHAPES[1], 12)) == 1
+    assert built == [(1, 16, 1, 1)]
+
+
 def test_found_points_are_sign_normalized():
     # leading y coefficient positive, negation deduplicated
     (pt,) = search_points(1, 16, 1, DIRECT_SHAPES[1], 12)

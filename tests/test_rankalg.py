@@ -197,10 +197,11 @@ def test_census_rows_deterministic_across_jobs():
 
 
 def test_census_workers_capped_at_cpu_count(monkeypatch):
-    sizes = []
+    sizes, tasks = [], []
 
     class RecordingPool:
-        """Runs the chunks in this process and records the pool size."""
+        """Runs the tasks in this process and records the pool size and
+        each imap call's function and inputs."""
 
         def __init__(self, processes):
             sizes.append(processes)
@@ -212,6 +213,7 @@ def test_census_workers_capped_at_cpu_count(monkeypatch):
             return False
 
         def imap(self, fn, items):
+            tasks.append((fn, items))
             return map(fn, items)
 
     monkeypatch.setattr(rankalg, "multiprocessing",
@@ -223,16 +225,34 @@ def test_census_workers_capped_at_cpu_count(monkeypatch):
     monkeypatch.setattr(rankalg.os, "cpu_count", lambda: None)
     assert list(census_rows(8, jobs=10 ** 6)) == serial
     assert sizes == [3, 2]
+    # one task per value A, whose result is A's row against every value
+    values = sixth_power_free_values(8)
+    assert len(tasks) == 2
+    for fn, items in tasks:
+        assert items == values
+        for A in items:
+            rows = fn(A)
+            assert len(rows) == len(values)
+            assert all(row.startswith(f"{A}\t") for row in rows)
 
 
 def test_census_rows_full_route_equivalence():
     # every row of a census, not just a prefix, against rank_breakdown and
-    # classify; the census reads per-value tests taken once per chunk
+    # classify; the census reads per-value tests taken once per process
     for line in list(census_rows(30))[1:]:
         cols = line.split("\t")
         A, B = int(cols[0]), int(cols[1])
         assert tuple(int(c) for c in cols[4:8]) == rank_breakdown(A, B).r
         assert cols[9] == classify(A, B).case
+
+
+def test_census_builds_its_value_tables_once():
+    rankalg._value_tables.cache_clear()
+    rows = list(census_rows(20))
+    assert len(rows) == 1 + len(sixth_power_free_values(20)) ** 2
+    assert rankalg._value_tables.cache_info().misses == 1
+    assert list(census_rows(20)) == rows
+    assert rankalg._value_tables.cache_info().misses == 1
 
 
 def test_census_streams_its_rows():
