@@ -387,7 +387,9 @@ def verify_certificate_json(data) -> VerificationReport:
     def check(name: str, passed: bool):
         checks.append(CertificateCheck(name, passed))
 
-    if data.get("rank") != bd.rank or data.get("r") != list(bd.r):
+    rank, r = data.get("rank"), data.get("r")
+    if (type(rank) is not int or rank != bd.rank or r != list(bd.r)
+            or any(type(c) is not int for c in r)):
         check("stored rank and criteria match recomputation", False)
     ks = []
     for wd in witnesses:

@@ -204,59 +204,52 @@ def heights_ordered(height: int) -> tuple:
 def _solve_single(eq: Equation, var: str, assign):
     """Solve eq = 0 for its one unassigned variable.
 
-    Returns ("roots", [...]) with every rational root as a reduced pair
-    (p, q), ("free", None) when the equation is identically satisfied,
-    or ("stuck", None) when the polynomial degree is beyond exact
+    Returns every rational root as a reduced pair (p, q), or None when
+    the equation is identically satisfied or its degree is beyond exact
     solving here.  The coefficients carry one positive factor, which
     changes neither the roots nor the sign of the discriminant.
     """
     cs = eq.coeffs_in(var, assign)
     deg = len(cs) - 1
     if deg == 0:
-        return ("roots", []) if cs[0] else ("free", None)
+        return [] if cs[0] else None
     if deg == 1:
         roots = [Fraction(-cs[0], cs[1])]
     elif deg == 2:
         root = is_kth_power(cs[1] * cs[1] - 4 * cs[0] * cs[2], 2)
         if root is None:
-            return "roots", []
+            return []
         roots = sorted({Fraction(-cs[1] + root, 2 * cs[2]),
                         Fraction(-cs[1] - root, 2 * cs[2])})
     elif deg == 3 and not cs[1] and not cs[2]:
         r = is_kth_power(Fraction(-cs[0], cs[3]), 3)
         roots = [] if r is None else [r]
     else:
-        return "stuck", None
-    return "roots", [(r.numerator, r.denominator) for r in roots]
+        return None
+    return [(r.numerator, r.denominator) for r in roots]
 
 
-def _pick_variable(eqs, variables, assign):
-    """Choose the unassigned variable most likely to prune.
+def _pick_variable(unsettled, variables, assign):
+    """Choose the unassigned variable most likely to prune, given each
+    open equation with its unknowns in unsettled.
 
     Best is one that turns some equation into a single unknown solved
     by a root extraction (most candidate values then die instantly),
     next one that forces a linear solve (kills a whole enumeration
-    level), then raw equation membership.  Ties break by name, so the
-    search order is deterministic.
+    level), then raw equation membership.  Ties break by name.
     """
-    best = None
-    for v in variables:
-        if v in assign:
-            continue
-        kind = 0
-        member = 0
-        for eq in eqs:
-            if v not in eq.vars:
-                continue
-            member += 1
-            unknown = eq.vars - assign.keys()
-            if len(unknown) == 2 and v in unknown:
-                other = next(iter(unknown - {v}))
-                kind = max(kind, 2 if eq.degree_of(other) >= 2 else 1)
-        key = (-kind, -member, v)
-        if best is None or key < best[0]:
-            best = (key, v)
-    return best[1] if best else None
+    def key(v):
+        kind = member = 0
+        for eq, unknown in unsettled:
+            if v in unknown:
+                member += 1
+                if len(unknown) == 2:
+                    other, = unknown - {v}
+                    kind = max(kind, 2 if eq.degree_of(other) >= 2 else 1)
+        return -kind, -member, v
+
+    return min((v for v in variables if v not in assign), key=key,
+               default=None)
 
 
 def search_points(A, B, k: int, shape: SearchShape, height: int) -> tuple:
@@ -279,39 +272,39 @@ def search_points(A, B, k: int, shape: SearchShape, height: int) -> tuple:
     variables = shape.variables()
     values = heights_ordered(height)
     solutions = []
+    assign = {}
 
-    def dfs(assign, done):
-        # verify equations that just became fully assigned
-        for i, eq in enumerate(eqs):
-            if i not in done and eq.vars <= assign.keys():
-                if eq.evaluate(assign):
-                    return
-                done = done | {i}
-        # solve any equation left with a single unknown
-        for i, eq in enumerate(eqs):
-            if i in done:
-                continue
-            unknown = eq.vars - assign.keys()
-            if len(unknown) != 1:
-                continue
-            var = next(iter(unknown))
-            status, roots = _solve_single(eq, var, assign)
-            if status == "roots":
-                for r in roots:
-                    child = dict(assign)
-                    child[var] = r
-                    dfs(child, done)
+    def dfs(open_eqs):
+        # verify the newly complete equations; take the others' unknowns
+        unsettled = []
+        for eq in open_eqs:
+            unknown = eq.vars.difference(assign)
+            if unknown:
+                unsettled.append((eq, unknown))
+            elif eq.evaluate(assign):
                 return
-        var = _pick_variable(eqs, variables, assign)
+        rest = [eq for eq, _ in unsettled]
+        # branch on the roots of the first solvable single-unknown equation
+        for eq, unknown in unsettled:
+            if len(unknown) == 1:
+                var, = unknown
+                roots = _solve_single(eq, var, assign)
+                if roots is not None:
+                    branch(var, roots, rest)
+                    return
+        var = _pick_variable(unsettled, variables, assign)
         if var is None:
             solutions.append({v: Fraction(*pq) for v, pq in assign.items()})
-            return
-        for v in values:
-            child = dict(assign)
-            child[var] = (v.numerator, v.denominator)
-            dfs(child, done)
+        else:
+            branch(var, ((v.numerator, v.denominator) for v in values), rest)
 
-    dfs({}, frozenset())
+    def branch(var, pairs, open_eqs):
+        for pair in pairs:
+            assign[var] = pair
+            dfs(open_eqs)
+        assign.pop(var, None)
+
+    dfs(eqs)
     return _collect(solutions, shape, A, B, k) if solutions else ()
 
 

@@ -537,8 +537,11 @@ def test_verify_point_with_large_coprime_denominators_ends(cert_1_16, tmp_path):
     (_with("A", "1" * (MAX_LITERAL_DIGITS + 1)), "digits, above the limit"),
     (_with("k", "one", witness=0), "field 'k' is 'one'"),
     (_with("k", 7, witness=0), "field 'k' is 7"),
+    (_with("rank", 3.0), "stored rank and criteria match"),
+    (_with("r", [True, True, False, True]), "stored rank and criteria match"),
+    (_with("r", [1, 1, 0, 1.0]), "stored rank and criteria match"),
 ], ids=["no-witnesses", "list", "A-zero", "A-decimal", "A-too-many-digits",
-        "k-one", "k-seven"])
+        "k-one", "k-seven", "rank-float", "r-bools", "r-float"])
 def test_verify_malformed_certificate_is_a_named_failure(mutate, named,
                                                          cert_1_16, tmp_path):
     failures = verify_in_subprocess(tmp_path, mutate(cert_1_16))

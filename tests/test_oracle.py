@@ -12,7 +12,9 @@ from sexticrank.oracle import (
     DIRECT_SHAPES,
     FULL_SHAPE,
     MAX_HEIGHT,
+    Equation,
     SearchShape,
+    _solve_single,
     cross_validate,
     heights_ordered,
     point_height,
@@ -173,9 +175,30 @@ def test_search_descent_shapes(A, B, k, expect):
     assert [p.to_str("s") for p in pts] == expect
 
 
-def test_generic_shape_recovers_direct_point():
-    pts = search_points(1, 16, 1, FULL_SHAPE, 8)
-    assert [p.to_str("s") for p in pts] == ["(4, s + 8)"]
+@pytest.mark.parametrize("A,B,k,height,expect", [
+    (1, 16, 1, 8, ["(4, s + 8)"]),
+    # two points: sibling branches share one assignment
+    (8, 9, 2, 6, ["(-2*s, 3*s)", "(4*s^2 + 4*s, 8*s^3 + 12*s^2 + 3*s)"]),
+], ids=["1-16-k1", "8-9-k2"])
+def test_generic_shape_recovers_direct_point(A, B, k, height, expect):
+    pts = search_points(A, B, k, FULL_SHAPE, height)
+    assert [p.to_str("s") for p in pts] == expect
+
+
+def _equation(*monomials):
+    return Equation(0, [(Fraction(c), tuple(ws)) for c, ws in monomials])
+
+
+@pytest.mark.parametrize("eq,assign,expect", [
+    (_equation((1, ["a0", "a0"]), (-4, [])), {}, [(-2, 1), (2, 1)]),
+    (_equation((1, ["a0", "a0"]), (-2, [])), {}, []),
+    # a full cubic is beyond exact solving here
+    (_equation((1, ["a0"] * 3), (1, ["a0"]), (1, [])), {}, None),
+    # identically satisfied
+    (_equation((1, ["a0", "b0"])), {"b0": (0, 1)}, None),
+], ids=["two-roots", "no-rational-root", "full-cubic", "vanishes"])
+def test_solve_single_returns_roots_or_none(eq, assign, expect):
+    assert _solve_single(eq, "a0", assign) == expect
 
 
 def test_search_rejects_bad_arguments():

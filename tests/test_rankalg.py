@@ -212,7 +212,7 @@ def test_census_workers_capped_at_cpu_count(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def imap(self, fn, items):
+        def imap(self, fn, items, chunksize=1):
             tasks.append((fn, items))
             return map(fn, items)
 
