@@ -12,10 +12,16 @@ generators is therefore a real cross-check, exercised per pair by
 
 The solver enumerates coefficients in a greedy order but first
 propagates: an equation with a single unknown of degree <= 2 (or a
-pure cube) is solved exactly instead of enumerated, which collapses
-most searches to no enumeration at all.  Every emitted point passes a
-final on-curve verification, so the plan only affects completeness,
-never soundness.
+pure cube) is solved exactly instead of enumerated.  Over the direct
+shapes that leaves almost nothing to enumerate (8 of the 1,600
+searches of ``oracle A B`` for |A|, |B| <= 10 enumerate at all); over
+``FULL_SHAPE`` three or four of the seven coefficients are enumerated,
+and the open equations are bound to the values fixed so far once per
+enumeration level.  An equation a root was solved from is not checked
+again below it, since linear, square-discriminant and pure-cube roots
+are exact.  Soundness does not rest on the plan: every emitted point
+passes a final on-curve verification, so the plan only affects
+completeness.
 """
 
 from __future__ import annotations
@@ -82,7 +88,7 @@ DESCENT_SHAPES = {
 
 #: largest coefficient height searched: heights_ordered(H) has about
 #: 1.2 H^2 values, and the descent-shape search `oracle -12 36 --k 1
-#: --height H` takes 2 s at H = 12, 8.5 s at 16 and 12 s at 20
+#: --height H` takes about 1 s at H = 12, 3 s at 16 and 5 s at 20
 #: (CPython 3.11, 2-core x86-64 machine)
 MAX_HEIGHT = 20
 
@@ -100,7 +106,9 @@ class Equation:
     variable v of the equation: e is the monomial's exponent of v and
     deg_v the degree of the equation in v.  So ``evaluate`` returns the
     equation's value times the positive factor D * prod q_v^deg_v, and
-    is zero exactly where the value is, with the same sign.
+    is zero exactly where the value is, with the same sign.  An
+    equation made by ``bind`` has only the integer form: its
+    ``monomials`` is None.
     """
 
     __slots__ = ("degree", "monomials", "vars", "degrees", "terms")
@@ -119,6 +127,35 @@ class Equation:
             (c.numerator * (D // c.denominator),
              tuple((v, ws.count(v), deg - ws.count(v)) for v, deg in order))
             for c, ws in self.monomials)
+
+    def bind(self, assign) -> "Equation":
+        """The equation with the variables of assign folded into its
+        integer coefficients: each term's coefficient times p^e q^f for
+        every bound (v, e, f), terms with the same remaining factors
+        merged and zero terms dropped.  ``evaluate`` and ``coeffs_in``
+        of the result return exactly the integers this one does at any
+        assignment that extends assign.  ``degree`` and ``degrees`` are
+        kept, and ``vars`` loses only the bound names: a variable whose
+        terms cancel stays an unknown."""
+        bound = self.vars.intersection(assign)
+        if not bound:
+            return self
+        merged = {}
+        for c, factors in self.terms:
+            rest = []
+            for v, e, f in factors:
+                if v in bound:
+                    p, q = assign[v]
+                    c *= p ** e * q ** f
+                else:
+                    rest.append((v, e, f))
+            rest = tuple(rest)
+            merged[rest] = merged.get(rest, 0) + c
+        eq = Equation.__new__(Equation)
+        eq.degree, eq.monomials, eq.degrees = self.degree, None, self.degrees
+        eq.vars = self.vars - bound
+        eq.terms = tuple((c, rest) for rest, c in merged.items() if c)
+        return eq
 
     def evaluate(self, assign) -> int:
         """The value at assign, of pairs for every variable, times
@@ -153,7 +190,7 @@ class Equation:
         return self.degrees.get(var, 0)
 
     def __repr__(self):
-        return f"Equation(s^{self.degree}, {len(self.monomials)} terms)"
+        return f"Equation(s^{self.degree}, {len(self.terms)} terms)"
 
 
 @lru_cache(maxsize=64)
@@ -214,8 +251,9 @@ def _solve_single(eq: Equation, var: str, assign):
     if deg == 0:
         return [] if cs[0] else None
     if deg == 1:
-        roots = [Fraction(-cs[0], cs[1])]
-    elif deg == 2:
+        g = gcd(cs[0], cs[1]) if cs[1] > 0 else -gcd(cs[0], cs[1])
+        return [(-cs[0] // g, cs[1] // g)]
+    if deg == 2:
         root = is_kth_power(cs[1] * cs[1] - 4 * cs[0] * cs[2], 2)
         if root is None:
             return []
@@ -283,20 +321,22 @@ def search_points(A, B, k: int, shape: SearchShape, height: int) -> tuple:
                 unsettled.append((eq, unknown))
             elif eq.evaluate(assign):
                 return
-        rest = [eq for eq, _ in unsettled]
-        # branch on the roots of the first solvable single-unknown equation
+        # branch on the roots of the first solvable single-unknown
+        # equation; they are exact, so the children do not check it again
         for eq, unknown in unsettled:
             if len(unknown) == 1:
                 var, = unknown
                 roots = _solve_single(eq, var, assign)
                 if roots is not None:
-                    branch(var, roots, rest)
+                    branch(var, roots, [e for e, _ in unsettled if e is not eq])
                     return
         var = _pick_variable(unsettled, variables, assign)
         if var is None:
             solutions.append({v: Fraction(*pq) for v, pq in assign.items()})
         else:
-            branch(var, ((v.numerator, v.denominator) for v in values), rest)
+            # the values assigned so far stay fixed below this level
+            branch(var, ((v.numerator, v.denominator) for v in values),
+                   [eq.bind(assign) for eq, _ in unsettled])
 
     def branch(var, pairs, open_eqs):
         for pair in pairs:

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sexticrank import oracle
 from sexticrank.curve import FunctionFieldCurve
 from sexticrank.generators import subfamily_generator
 from sexticrank.oracle import (
@@ -113,6 +115,17 @@ def equations_and_values(draw):
     return sigma_equations(A, B, k, shape), values
 
 
+def _assert_positive_multiple(got, want):
+    """got is a positive multiple of the reference coefficients want."""
+    assert len(got) == len(want), (got, want)
+    scale = next((Fraction(g) / w for g, w in zip(got, want) if w), None)
+    if scale is None:
+        assert got == [0]
+    else:
+        assert scale > 0
+        assert [Fraction(g) for g in got] == [scale * w for w in want]
+
+
 @settings(max_examples=200, deadline=None)
 @given(equations_and_values())
 def test_integer_form_matches_fraction_sum(case):
@@ -122,16 +135,41 @@ def test_integer_form_matches_fraction_sum(case):
         value = _reference_sum(eq.monomials, values)[0]
         assert _sign(eq.evaluate(pairs)) == _sign(value), eq
         for var in eq.vars:
-            got = eq.coeffs_in(var, pairs)
-            want = _reference_sum(eq.monomials, values, var)
-            assert len(got) == len(want), (eq, var)
-            scale = next((Fraction(g) / w for g, w in zip(got, want) if w),
-                         None)
-            if scale is None:
-                assert got == [0]
-            else:
-                assert scale > 0
-                assert [Fraction(g) for g in got] == [scale * w for w in want]
+            _assert_positive_multiple(eq.coeffs_in(var, pairs),
+                                      _reference_sum(eq.monomials, values, var))
+
+
+@settings(max_examples=200, deadline=None)
+@given(equations_and_values(), st.data())
+def test_bound_form_matches_fraction_sum(case, data):
+    eqs, values = case
+    pairs = {v: (x.numerator, x.denominator) for v, x in values.items()}
+    names = data.draw(st.sets(st.sampled_from(sorted(values))))
+    fixed = {v: pairs[v] for v in names}
+    for eq in eqs:
+        bound = eq.bind(fixed)
+        assert bound.degree == eq.degree and bound.degrees == eq.degrees
+        assert bound.vars == eq.vars - names
+        got = bound.evaluate(pairs)
+        assert got == eq.evaluate(pairs)
+        _assert_positive_multiple([got], _reference_sum(eq.monomials, values))
+        for var in bound.vars:
+            got = bound.coeffs_in(var, pairs)
+            assert got == eq.coeffs_in(var, pairs)
+            _assert_positive_multiple(got,
+                                      _reference_sum(eq.monomials, values, var))
+
+
+def test_bind_merges_terms_and_keeps_cancelled_unknowns():
+    # a0*b0 + a0*b1 - 2*b1 at a0 = 2 is 2*b0: the b1 terms cancel,
+    # yet b1 stays an unknown of the bound equation
+    eq = _equation((1, ["a0", "b0"]), (1, ["a0", "b1"]), (-2, ["b1"]))
+    bound = eq.bind({"a0": (2, 1)})
+    assert bound.vars == {"b0", "b1"} and bound.degrees == eq.degrees
+    assert bound.terms == ((2, (("b0", 1, 0), ("b1", 0, 1))),)
+    assert bound.coeffs_in("b1", {"a0": (2, 1), "b0": (3, 1)}) == [6]
+    # nothing to fold: the equation itself
+    assert eq.bind({"b7": (1, 1)}) is eq
 
 
 def test_sigma_equations_constant_term_placement():
@@ -199,6 +237,49 @@ def _equation(*monomials):
 ], ids=["two-roots", "no-rational-root", "full-cubic", "vanishes"])
 def test_solve_single_returns_roots_or_none(eq, assign, expect):
     assert _solve_single(eq, "a0", assign) == expect
+
+
+def test_descent_search_skips_solved_equations(monkeypatch):
+    # a root is exact, so the equation it was solved from is not
+    # evaluated again below it (re-checking them made 11,018 calls
+    # here); the evaluations left are the leaves' checks of the
+    # equations no root came from
+    calls = Counter()
+    for name in ("evaluate", "coeffs_in"):
+        def counting(self, *args, _method=getattr(Equation, name), _name=name):
+            calls[_name] += 1
+            return _method(self, *args)
+        monkeypatch.setattr(Equation, name, counting)
+    search_points(-3, 18, 1, FULL_SHAPE, 8)
+    assert calls == {"coeffs_in": 8613, "evaluate": 3654}
+
+
+def test_wrong_roots_are_caught_by_the_curve_check(monkeypatch):
+    # the search does not re-check an equation after solving it, so
+    # wrong roots must still end in no point off the curve
+    solve = oracle._solve_single
+
+    def off_by_one(eq, var, assign):
+        roots = solve(eq, var, assign)
+        return None if roots is None else [(p + q, q) for p, q in roots]
+
+    checked = []
+    contains = FunctionFieldCurve.contains
+
+    def recording(curve, P):
+        checked.append(contains(curve, P))
+        return checked[-1]
+
+    monkeypatch.setattr(oracle, "_solve_single", off_by_one)
+    monkeypatch.setattr(FunctionFieldCurve, "contains", recording)
+    curve = FunctionFieldCurve.subfamily(-27, 54, 1, 1)
+    pts = search_points(-27, 54, 1, FULL_SHAPE, 8)
+    assert all(contains(curve, P) for P in pts)
+    # here the open equations reject every wrong leaf; with them taken
+    # out too, each leaf reaches the on-curve check, which rejects it
+    monkeypatch.setattr(Equation, "evaluate", lambda self, assign: 0)
+    assert search_points(-27, 54, 1, FULL_SHAPE, 8) == ()
+    assert len(checked) == 3654 and not any(checked)
 
 
 def test_search_rejects_bad_arguments():
