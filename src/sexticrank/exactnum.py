@@ -284,7 +284,7 @@ class SixthPowerClass:
     def __init__(self, sign: int, powers: dict[int, int]):
         assert sign in (1, -1)
         self.sign = sign
-        self.powers = tuple(sorted((p, e % 6) for p, e in powers.items() if e % 6))
+        self.powers = tuple(sorted([(p, e % 6) for p, e in powers.items() if e % 6]))
 
     @property
     def rep(self) -> Fraction:
@@ -307,7 +307,8 @@ class SixthPowerClass:
         return all(e % 3 == 0 for _, e in self.powers)
 
     def neg3_times_is_square(self) -> bool:
-        return (self * _NEG3_CLASS).is_square()
+        # a square is positive, so only a negative class can qualify
+        return self.sign < 0 and (self * _NEG3_CLASS).is_square()
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SixthPowerClass)

@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import os
 import sys
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .exactnum import (
     FactorBudgetExceeded,
@@ -48,6 +49,8 @@ __all__ = [
     "NormalizedPair",
     "normalize_pair",
     "Classification",
+    "ClassFacts",
+    "class_facts",
     "classify",
     "census_rows",
     "MAX_CENSUS_BOUND",
@@ -214,17 +217,37 @@ _CLASS_FOUR = SixthPowerClass(1, {2: 2})
 CASE_RANK = {"0": 0, "1": 1, "2a": 2, "2b": 2, "2c": 2, "2d": 2, "3": 3}
 
 
-def _case(a, b, cA: SixthPowerClass, cB: SixthPowerClass) -> tuple:
+class ClassFacts(NamedTuple):
+    """What ``_case`` reads of one class, stated once per class."""
+
+    cls: SixthPowerClass
+    squarish: bool  # the class, or -3 times it, is a square
+    cube: bool
+    mod3: tuple  # the (p, e % 3) with e % 3 != 0, by p
+    partner4: tuple  # the mod3 a class needs for 4 * cls * it to be a cube
+
+
+def class_facts(c: SixthPowerClass) -> ClassFacts:
+    """The facts of c; 4AB is a cube exactly when the partner4 of A's
+    facts is the mod3 of B's (signs do not matter: -1 is a cube)."""
+    mod3 = tuple([(p, e % 3) for p, e in c.powers if e % 3])
+    partner4 = tuple([(p, -e % 3) for p, e in (_CLASS_FOUR * c).powers
+                      if e % 3])
+    # a class is a cube when no exponent is left mod 3
+    return ClassFacts(c, c.is_square() or c.neg3_times_is_square(),
+                      not mod3, mod3, partner4)
+
+
+def _case(a, b, fA: ClassFacts, fB: ClassFacts) -> tuple:
     """(rank, case, components) of the canonical pair (a, b) whose
-    classes are cA and cB: the finite case list, on exponent arithmetic
-    alone."""
-    a_sqish = cA.is_square() or cA.neg3_times_is_square()
-    b_sqish = cB.is_square() or cB.neg3_times_is_square()
-    cube4ab = (_CLASS_FOUR * cA * cB).is_cube()
+    classes have the facts fA and fB: the finite case list, on exponent
+    arithmetic alone."""
+    a_sqish, b_sqish = fA.squarish, fB.squarish
+    cube4ab = fA.partner4 == fB.mod3
     components = (
         int(cube4ab and a_sqish),
-        int(cA.is_cube() and b_sqish),
-        int(cB.is_cube() and a_sqish),
+        int(fA.cube and b_sqish),
+        int(fB.cube and a_sqish),
         int(cube4ab and b_sqish),
     )
     a_cs, b_cs = a in CUBE_AND_SQUARISH, b in CUBE_AND_SQUARISH
@@ -233,13 +256,14 @@ def _case(a, b, cA: SixthPowerClass, cB: SixthPowerClass) -> tuple:
         return 3, "3", components
     # 4c is a cube for every c in QUADRUPLE_CUBE_SQUARISH, so cube4ab
     # only skips products that cannot match
-    if b_sqish and cube4ab and (cA * cB).rep in QUADRUPLE_CUBE_SQUARISH:
+    if (b_sqish and cube4ab
+            and (fA.cls * fB.cls).rep in QUADRUPLE_CUBE_SQUARISH):
         return 2, "2a", components
-    if a_qc and cB.is_cube():
+    if a_qc and fB.cube:
         return 2, "2b", components
     if a_cs and b_cs:
         return 2, "2c", components
-    if b_qc and cA.is_cube():
+    if b_qc and fA.cube:
         return 2, "2d", components
     rank = sum(components)
     return rank, str(rank), components
@@ -252,8 +276,9 @@ def classify(A, B) -> Classification:
     exponent arithmetic on factored canonical representatives.
     """
     norm = normalize_pair(A, B)
-    rank, case, components = _case(norm.first, norm.second, norm.first_class,
-                                   norm.second_class)
+    rank, case, components = _case(norm.first, norm.second,
+                                   class_facts(norm.first_class),
+                                   class_facts(norm.second_class))
     return Classification(rank=rank, case=case, normalized=norm,
                           components=components)
 
@@ -262,14 +287,17 @@ def classify(A, B) -> Classification:
 # census: both routes on every canonical pair
 # ---------------------------------------------------------------------------
 
-#: largest census bound: 3.9e8 pairs, about 2.6 h on one process at the
-#: 42,000 pairs/s of bound 500 (2-core machine, CPython 3.11), and 7.6 MB
-#: of per-value tables per process; bound 10^5 would take 11 days and 94 MB.
+#: largest census bound: 3.9e8 pairs, about 50 min on one process at the
+#: 132,000 pairs/s of bound 500 (2-core machine, CPython 3.11), and 17 MB
+#: of per-value tables per process; bound 10^5 would take 3.4 days and 170 MB.
 MAX_CENSUS_BOUND = 10_000
 
 #: pairs per pooled-census message, each costing about 0.5 ms (2 cores); from
 #: bound 1,280 on (2,518 values) a message holds one A, so memory stays flat.
 PAIRS_PER_MESSAGE = 5_000
+
+#: messages a pooled census lets each worker hold: one at work, one queued
+MESSAGES_PER_WORKER = 2
 
 
 def sixth_power_free_values(bound: int) -> list:
@@ -293,20 +321,21 @@ CENSUS_TSV_HEADER = "A\tB\tA_class\tB_class\tr1\tr2\tr3\tr4\trank\tclassify_case
 
 @lru_cache(maxsize=1)
 def _value_tables(bound: int) -> tuple:
-    """The values up to bound with each one's class, cube test and square
-    test; kept for the last bound, so a process builds them once per census."""
+    """The values up to bound with each one's class facts, cube test and
+    square test; kept for the last bound, so a process builds them once per
+    census."""
     values = sixth_power_free_values(bound)
-    classes = {v: sixth_power_class(v) for v in values}
+    facts = {v: class_facts(sixth_power_class(v)) for v in values}
     cubes = {v: is_kth_power(v, 3) is not None for v in values}
     squarish = {v: is_square_or_neg3_square(v).kind != "neither"
                 for v in values}
-    return values, classes, cubes, squarish
+    return values, facts, cubes, squarish
 
 
 def _census_rows_of(bound: int, A: int) -> list:
     """TSV rows of the pairs (A, B), B any value up to bound; a pair
     adds only the cube test of 4AB to the per-value tables."""
-    values, classes, cubes, squarish = _value_tables(bound)
+    values, facts, cubes, squarish = _value_tables(bound)
     rows = []
     for B in values:
         cube = {"4AB": is_kth_power(4 * A * B, 3) is not None,
@@ -314,7 +343,7 @@ def _census_rows_of(bound: int, A: int) -> list:
         square = {"A": squarish[A], "B": squarish[B]}
         r = [int(cube[x] and square[y]) for x, y in CRITERIA.values()]
         a, b = (B, A) if _prefer_swap(A, B) else (A, B)
-        case = _case(a, b, classes[a], classes[b])[1]
+        case = _case(a, b, facts[a], facts[b])[1]
         rows.append(f"{A}\t{B}\t{A}\t{B}\t{r[0]}\t{r[1]}\t{r[2]}\t{r[3]}"
                     f"\t{sum(r)}\t{case}")
     return rows
@@ -336,11 +365,32 @@ def census_rows(bound: int, jobs: int = 1) -> Iterator[str]:
     if workers <= 1:
         yield from chain.from_iterable(map(task, values))
         return
+    chunk = max(1, PAIRS_PER_MESSAGE // len(values))
+    # imap draws a value only under a permit, which comes back once that
+    # value's rows are yielded: a consumer that stalls stalls the workers
+    window = MESSAGES_PER_WORKER * workers * chunk
+    permits = threading.Semaphore(window)
+    closing = False
+
+    def gated():
+        for A in values:
+            permits.acquire()
+            if closing:
+                return
+            yield A
+
     # read off the module, so that __getattr__ imports it on first use
     # and a stand-in set on the module is the one used
     with sys.modules[__name__].multiprocessing.Pool(workers) as pool:
-        chunk = max(1, PAIRS_PER_MESSAGE // len(values))
-        yield from chain.from_iterable(pool.imap(task, values, chunk))
+        try:
+            for rows in pool.imap(task, gated(), chunk):
+                yield from rows
+                permits.release()
+        finally:
+            # Pool.terminate joins imap's task thread, which must not be
+            # left waiting for a permit
+            closing = True
+            permits.release(window)
 
 
 def __getattr__(name):

@@ -403,6 +403,18 @@ def test_census_bytes_pinned(capsys):
     assert digest == PINNED_CENSUS_30_SHA256
 
 
+#: sha256 of the stdout of `census --bound 100`
+PINNED_CENSUS_100_SHA256 = (
+    "a349889db87f63e18843206d5ccdd1b686ead84dbaa19cf33441cfd725bc7c9b")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_census_100_bytes_pinned(capsys, jobs):
+    assert run_cli(["census", "--bound", "100", "--jobs", jobs]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == PINNED_CENSUS_100_SHA256
+
+
 #: sha256 of the stdout of `rank A B` and of `rank A B --format json`.
 #: Together the pairs satisfy every criterion, reach every square kind
 #: (square, -3 times a square, neither) and include a class that cannot

@@ -1,4 +1,6 @@
 import json
+import multiprocessing.pool
+import threading
 import time
 from fractions import Fraction
 from types import SimpleNamespace
@@ -9,11 +11,13 @@ from hypothesis import strategies as st
 
 from sexticrank import exactnum, rankalg
 from sexticrank.cli import main
+from sexticrank.exactnum import SixthPowerClass
 from sexticrank.rankalg import (
     CENSUS_TSV_HEADER,
     MAX_CENSUS_BOUND,
     breakdown_to_json,
     census_rows,
+    class_facts,
     classify,
     normalize_pair,
     rank_breakdown,
@@ -201,7 +205,7 @@ def test_census_workers_capped_at_cpu_count(monkeypatch):
 
     class RecordingPool:
         """Runs the tasks in this process and records the pool size and
-        each imap call's function and inputs."""
+        each imap call's function and the inputs it draws."""
 
         def __init__(self, processes):
             sizes.append(processes)
@@ -213,8 +217,11 @@ def test_census_workers_capped_at_cpu_count(monkeypatch):
             return False
 
         def imap(self, fn, items, chunksize=1):
-            tasks.append((fn, items))
-            return map(fn, items)
+            drawn = []
+            tasks.append((fn, drawn))
+            for A in items:
+                drawn.append(A)
+                yield fn(A)
 
     monkeypatch.setattr(rankalg, "multiprocessing",
                         SimpleNamespace(Pool=RecordingPool))
@@ -244,6 +251,80 @@ def test_census_rows_full_route_equivalence():
         A, B = int(cols[0]), int(cols[1])
         assert tuple(int(c) for c in cols[4:8]) == rank_breakdown(A, B).r
         assert cols[9] == classify(A, B).case
+
+
+PRIMES_TO_13 = (2, 3, 5, 7, 11, 13)
+signs = st.sampled_from((1, -1))
+exponents = st.lists(st.integers(0, 5), min_size=len(PRIMES_TO_13),
+                     max_size=len(PRIMES_TO_13))
+
+
+@given(signs, exponents, signs, exponents, st.booleans())
+@settings(max_examples=300)
+def test_class_facts_are_exact(sA, eA, sB, eB, make_4ab_a_cube):
+    cA = SixthPowerClass(sA, dict(zip(PRIMES_TO_13, eA)))
+    if make_4ab_a_cube:
+        # keep B's cube part and take the residues that 4A asks for, so
+        # that both answers of the cube test are drawn
+        four_a = dict((rankalg._CLASS_FOUR * cA).powers)
+        eB = [e - e % 3 + -four_a.get(p, 0) % 3
+              for p, e in zip(PRIMES_TO_13, eB)]
+    cB = SixthPowerClass(sB, dict(zip(PRIMES_TO_13, eB)))
+    fA, fB = class_facts(cA), class_facts(cB)
+    cube4ab = (rankalg._CLASS_FOUR * cA * cB).is_cube()
+    assert cube4ab or not make_4ab_a_cube
+    assert (fA.partner4 == fB.mod3) == cube4ab
+    for c, f in ((cA, fA), (cB, fB)):
+        assert f.cls == c
+        assert f.squarish == (c.is_square() or c.neg3_times_is_square())
+        assert f.cube == c.is_cube()
+
+
+def test_census_pairs_take_no_class_products(monkeypatch):
+    rankalg._value_tables(30)
+    products = []
+    mul = SixthPowerClass.__mul__
+
+    def counting(self, other):
+        products.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(SixthPowerClass, "__mul__", counting)
+    rows = [line.split("\t") for line in list(census_rows(30))[1:]]
+    # only case 2a takes a product, once 4AB is a cube and one side is
+    # squarish, which is r1 or r4
+    assert len(products) <= sum(1 for cols in rows if "1" in (cols[4], cols[7]))
+
+
+def test_pooled_census_draws_values_as_its_rows_are_read(monkeypatch):
+    drawn = []
+
+    class CountingPool(multiprocessing.pool.Pool):
+        """A real pool that records each value imap draws."""
+
+        def imap(self, fn, items, chunksize=1):
+            def counted():
+                for A in items:
+                    drawn.append(A)
+                    yield A
+            return super().imap(fn, counted(), chunksize)
+
+    monkeypatch.setattr(rankalg, "multiprocessing",
+                        SimpleNamespace(Pool=CountingPool))
+    monkeypatch.setattr(rankalg.os, "cpu_count", lambda: 2)
+    values = sixth_power_free_values(300)
+    chunk = max(1, rankalg.PAIRS_PER_MESSAGE // len(values))
+    rows = census_rows(300, jobs=2)
+    assert next(rows) == CENSUS_TSV_HEADER
+    assert next(rows).startswith("-300\t-300\t")
+    time.sleep(1)
+    # the reader holds one A; each worker has one message at work and one
+    # queued, and nothing more is drawn until the reader goes on
+    assert len(drawn) == rankalg.MESSAGES_PER_WORKER * 2 * chunk < len(values)
+    closer = threading.Thread(target=rows.close, daemon=True)
+    closer.start()
+    closer.join(timeout=30)
+    assert not closer.is_alive()
 
 
 def test_census_builds_its_value_tables_once():
