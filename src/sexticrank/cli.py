@@ -211,20 +211,30 @@ def _emit_verification(report, fmt: str) -> int:
 def cmd_census(args) -> int:
     if args.bound > MAX_CENSUS_BOUND:
         _PARSER.error(f"--bound is above the limit of {MAX_CENSUS_BOUND}")
-    histogram = {}
-    pairs = 0
+    # rows per distinct ending "rank\tcase"; each ending's case is
+    # checked against its rank once
+    endings = {}
+    disagrees = {}
     disagreements = []
-    for line in census_rows(args.bound, jobs=args.jobs):
-        print(line)
-        if line.startswith("A\t"):
-            continue
-        fields = line.split("\t")
-        rank = int(fields[8])
-        case = fields[9]
-        pairs += 1
-        histogram[rank] = histogram.get(rank, 0) + 1
-        if CASE_RANK[case] != rank:
-            disagreements.append((fields[0], fields[1]))
+    write = sys.stdout.write  # print writes the newline in a second call
+    rows = census_rows(args.bound, jobs=args.jobs)
+    write(next(rows) + "\n")  # the header
+    for line in rows:
+        write(line + "\n")
+        ending = line[line.rindex("\t", 0, line.rindex("\t")) + 1:]
+        if ending in endings:
+            endings[ending] += 1
+        else:
+            endings[ending] = 1
+            rank, case = ending.split("\t")
+            disagrees[ending] = CASE_RANK[case] != int(rank)
+        if disagrees[ending]:
+            disagreements.append(line.split("\t", 2)[:2])
+    histogram = {}
+    for ending, count in endings.items():
+        rank = int(ending.partition("\t")[0])
+        histogram[rank] = histogram.get(rank, 0) + count
+    pairs = sum(endings.values())
     print(f"# pairs {pairs}")
     print("# rank histogram "
           + " ".join(f"{r}:{histogram[r]}" for r in sorted(histogram)))

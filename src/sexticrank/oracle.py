@@ -312,14 +312,11 @@ def search_points(A, B, k: int, shape: SearchShape, height: int) -> tuple:
     solutions = []
     assign = {}
 
-    def dfs(open_eqs):
-        # verify the newly complete equations; take the others' unknowns
-        unsettled = []
-        for eq in open_eqs:
-            unknown = eq.vars.difference(assign)
-            if unknown:
-                unsettled.append((eq, unknown))
-            elif eq.evaluate(assign):
+    def dfs(checks, unsettled):
+        # verify the equations this level completed; unsettled holds the
+        # others with their unknowns
+        for eq in checks:
+            if eq.evaluate(assign):
                 return
         # branch on the roots of the first solvable single-unknown
         # equation; they are exact, so the children do not check it again
@@ -328,7 +325,9 @@ def search_points(A, B, k: int, shape: SearchShape, height: int) -> tuple:
                 var, = unknown
                 roots = _solve_single(eq, var, assign)
                 if roots is not None:
-                    branch(var, roots, [e for e, _ in unsettled if e is not eq])
+                    if roots:
+                        branch(var, roots, [pair for pair in unsettled
+                                            if pair[0] is not eq])
                     return
         var = _pick_variable(unsettled, variables, assign)
         if var is None:
@@ -336,15 +335,27 @@ def search_points(A, B, k: int, shape: SearchShape, height: int) -> tuple:
         else:
             # the values assigned so far stay fixed below this level
             branch(var, ((v.numerator, v.denominator) for v in values),
-                   [eq.bind(assign) for eq, _ in unsettled])
+                   [(eq.bind(assign), unknown) for eq, unknown in unsettled])
 
-    def branch(var, pairs, open_eqs):
+    def branch(var, pairs, unsettled):
+        # every child assigns var and nothing else, so the children share
+        # one split: the equations var completes, and the rest
+        checks, rest = [], []
+        for pair in unsettled:
+            eq, unknown = pair
+            if var not in unknown:
+                rest.append(pair)
+            elif len(unknown) == 1:
+                checks.append(eq)
+            else:
+                rest.append((eq, unknown - {var}))
         for pair in pairs:
             assign[var] = pair
-            dfs(open_eqs)
+            dfs(checks, rest)
         assign.pop(var, None)
 
-    dfs(eqs)
+    dfs([eq for eq in eqs if not eq.vars],
+        [(eq, eq.vars) for eq in eqs if eq.vars])
     return _collect(solutions, shape, A, B, k) if solutions else ()
 
 

@@ -11,6 +11,7 @@ import jsonschema
 import pytest
 
 import sexticrank
+from sexticrank import cli
 from sexticrank.cli import main
 from sexticrank.exactnum import MAX_LITERAL_DIGITS
 from sexticrank.funcfield import parse_point
@@ -401,6 +402,22 @@ def test_census_bytes_pinned(capsys):
     assert run_cli(["census", "--bound", "30"]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == PINNED_CENSUS_30_SHA256
+
+
+def test_census_names_each_disagreement_in_row_order(capsys, monkeypatch):
+    # a case table that gives case 2c the wrong rank makes every 2c pair
+    # a disagreement between the routes
+    monkeypatch.setattr(cli, "CASE_RANK", {**cli.CASE_RANK, "2c": 3})
+    assert run_cli(["census", "--bound", "30"]) == 1
+    out, err = capsys.readouterr()
+    rows = [line.split("\t") for line in out.splitlines()[1:]
+            if not line.startswith("#")]
+    assert len(rows) == 60 * 60
+    bad = [(a, b) for a, b, *_, case in rows if case == "2c"]
+    assert bad
+    assert f"# classify agreements {3600 - len(bad)}/3600" in out.splitlines()
+    assert err.splitlines() == [f"disagreement at A = {a}, B = {b}"
+                                for a, b in bad]
 
 
 #: sha256 of the stdout of `census --bound 100`

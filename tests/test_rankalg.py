@@ -296,6 +296,33 @@ def test_census_pairs_take_no_class_products(monkeypatch):
     assert len(products) <= sum(1 for cols in rows if "1" in (cols[4], cols[7]))
 
 
+@pytest.mark.parametrize("bound", [1, 2, 30])
+def test_census_cube_table_is_the_cube_test_of_4ab(bound):
+    values, _, _, _, cubes_4ab = rankalg._value_tables(bound)
+    for A in values:
+        for B in values:
+            assert ((4 * A * B in cubes_4ab)
+                    == (exactnum.is_kth_power(4 * A * B, 3) is not None))
+    # every integer 4AB can be, up to the edges +-4 bound^2
+    edge = 4 * bound * bound
+    assert cubes_4ab == {n for n in range(-edge, edge + 1)
+                         if exactnum.is_kth_power(n, 3) is not None}
+
+
+def test_census_pairs_take_no_root_extraction(monkeypatch):
+    rankalg._value_tables(30)
+    calls = []
+    root = rankalg.is_kth_power
+
+    def counting(x, k):
+        calls.append(x)
+        return root(x, k)
+
+    monkeypatch.setattr(rankalg, "is_kth_power", counting)
+    assert len(list(census_rows(30))) == 1 + 60 * 60
+    assert calls == []
+
+
 def test_pooled_census_draws_values_as_its_rows_are_read(monkeypatch):
     drawn = []
 
