@@ -1,9 +1,8 @@
 """Elliptic curves y^2 = x^3 + C(t) over Q(t) and Q(sqrt(-3))(t).
 
 Covers the sextic-twist family C = A*t^6 + B, its subfamilies
-C = s^k (A s^m + B), the chord-tangent group law, the order-6
-automorphism coming from complex multiplication by cube roots of
-unity, Galois conjugation over Q, and an exact Kodaira fiber analysis
+C = s^k (A s^m + B), the chord-tangent group law, multiplication by
+omega, Galois conjugation over Q, and an exact Kodaira fiber analysis
 feeding the Shioda-Tate bound on the geometric Mordell-Weil rank.
 """
 
@@ -28,12 +27,7 @@ __all__ = [
     "FiberReport",
     "FiberSummary",
     "LEGAL_KM",
-    "ZETA6",
 ]
-
-#: primitive sixth root of unity -omega; substituting t -> ZETA6*t fixes
-#: A*t^6 + B and generates the deck group of the degree-6 base change
-ZETA6 = -OMEGA
 
 #: the (k, m) pairs for which s^k (A s^m + B) gives a curve in the family
 LEGAL_KM = frozenset(
@@ -176,11 +170,6 @@ class FunctionFieldCurve:
             return self
         return FunctionFieldCurve(lift_to_ext(self.C), var=self.var)
 
-    def lift_point(self, P: CurvePoint) -> CurvePoint:
-        if P.is_infinity:
-            return P
-        return CurvePoint(lift_to_ext(P.x), lift_to_ext(P.y))
-
     @staticmethod
     def restrict_point(P: CurvePoint) -> CurvePoint:
         """Rational form of a point; ValueError if truly irrational."""
@@ -227,24 +216,7 @@ class FunctionFieldCurve:
         y3 = lam * (x1 - x3) - y1
         return CurvePoint(x3, y3)
 
-    # -- extra structure: CM automorphism and Galois action ---------------------
-
-    def tau(self, P: CurvePoint) -> CurvePoint:
-        """The order-6 automorphism (x, y) -> (omega*x, -y).
-
-        Needs the curve over Q(sqrt(-3)); tau^3 is negation and
-        tau^2 is the CM action (x, y) -> (omega^2*x, y).
-        """
-        if self.field is not QuadExt:
-            raise TypeError("tau lives over Q(sqrt(-3)); lift the curve first")
-        if P.is_infinity:
-            return P
-        return CurvePoint(OMEGA * P.x, -P.y)
-
-    def tau_power(self, j: int, P: CurvePoint) -> CurvePoint:
-        for _ in range(j % 6):
-            P = self.tau(P)
-        return P
+    # -- extra structure: CM action and Galois action -------------------------
 
     def omega_point(self, P: CurvePoint) -> CurvePoint:
         """Multiplication by omega in the endomorphism ring: (x,y) -> (omega*x, y).
@@ -277,7 +249,7 @@ class FunctionFieldCurve:
         inner must be a Laurent monomial c*t^d with d != 0 (see
         RatFunc.substitute; anything else raises ValueError).  The
         result lies on this curve again whenever C(inner) = C, as for
-        inner = ZETA6*t here; callers verify membership.
+        inner = -omega*t on the sextic; callers verify membership.
         """
         if P.is_infinity:
             return P

@@ -403,7 +403,7 @@ class RatFunc:
 
     def substitute(self, inner: "RatFunc") -> "RatFunc":
         """The composite self(inner(t)) for a Laurent monomial inner =
-        c*t^d with d != 0, e.g. ZETA6*t, t^6 or 1/t.
+        c*t^d with d != 0, e.g. t^6 or 1/t.
 
         The t^i coefficient is scaled by c^i and moved to t^(d*i); for
         d < 0 the powers of t move into the denominator.  Any other

@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import Optional
 
-from .curve import LEGAL_KM, ZETA6, CurvePoint, FunctionFieldCurve, O
+from .curve import LEGAL_KM, CurvePoint, FunctionFieldCurve, O
 from .exactnum import (
     QuadExt,
     is_kth_power,
@@ -221,20 +221,32 @@ def multiples_nonzero(E: FunctionFieldCurve, P: CurvePoint, n_max: int = 6) -> b
     return nonzero(E, P)
 
 
-def eigenspace_check(A, B, k: int, embedded: CurvePoint) -> bool:
+def _scaled_by_zeta6_power(f: RatFunc, e: int) -> bool:
+    """f(zeta6*t) == zeta6^e * f, read off the exponents of f."""
+    delta = f.den.degree
+    return (all((j - delta) % 6 == 0 for j, c in enumerate(f.den.coeffs) if c)
+            and all((i - delta - e) % 6 == 0
+                    for i, c in enumerate(f.num.coeffs) if c))
+
+
+def eigenspace_check(k: int, embedded: CurvePoint) -> bool:
     """Does t -> zeta6*t act on the point as tau^k?
 
-    The degree-6 base change has deck group generated by zeta6; a
-    point coming from subfamily k transforms by tau^k, and points with
-    different tags are independent.  Exact check over Q(sqrt(-3))(t).
+    The degree-6 base change has deck group generated by zeta6, which
+    fixes A*t^6 + B for every A and B; a point coming from subfamily k
+    transforms by tau^k(x, y) = (omega^k x, (-1)^k y), and points with
+    different tags are independent.  For f = n/d reduced with d monic
+    of degree delta, f(zeta6*t) = n(zeta6*t)/zeta6^delta over the monic
+    d(zeta6*t)/zeta6^delta, again reduced, so it equals zeta6^e * f
+    exactly when, mod 6, every exponent of d is delta and every exponent
+    of n is delta + e.  As omega = zeta6^4 and -1 = zeta6^3, the
+    identity is that rule for x with e = 4k and for y with e = 3k; it is
+    false for O.
     """
-    E = FunctionFieldCurve.sextic(A, B).lift()
     if embedded.is_infinity:
         return False
-    W = E.lift_point(embedded) if embedded.x.field is Fraction else embedded
-    zt = RatFunc(Poly([QuadExt(0), ZETA6], QuadExt))
-    moved = E.point_substitute(W, zt)
-    return moved == E.tau_power(k, W)
+    return (_scaled_by_zeta6_power(embedded.x, 4 * k)
+            and _scaled_by_zeta6_power(embedded.y, 3 * k))
 
 
 # ---------------------------------------------------------------------------
@@ -410,12 +422,12 @@ def verify_certificate_json(data) -> VerificationReport:
             check(f"k={k}: embedding consistent with base change",
                   base_change_embed(point, (k, 1), (0, 6)) == emb)
             check(f"k={k}: eigenspace identity for tau^{k}",
-                  eigenspace_check(A, B, k, emb))
+                  eigenspace_check(k, emb))
             # off the curve no fibre holds the point, and the symbolic
             # fallback of multiples_nonzero does not finish
             check(f"k={k}: multiples 1..6 all nonzero",
                   on_sextic and multiples_nonzero(E, emb, 6))
-            if wd.get("used_descent"):
+            if _field(wd, "used_descent", bool):
                 pre = _parse_ext_point(_field(wd, "pre_descent_point", str))
                 try:
                     matches = galois_descent_combine(sub, pre) == point

@@ -364,6 +364,39 @@ def test_certify_json_bytes_pinned(A, B, capsys):
     assert digest == PINNED_CERTIFICATE_SHA256[(A, B)]
 
 
+#: sha256 of the stdout of `certify --verify FILE`, in text and in
+#: `--format json`, on the certificate that `certify A B --output FILE`
+#: writes
+PINNED_VERIFY_SHA256 = {
+    (8, 9): ("ce41d2211e9c272b1b23919320b4e57ba9311fdb9577562c987db158caf6cc86",
+             "00f5314aca9f5a1bc6f235fc69816055900d3ef59ad957038970d6479c575e78"),
+    (-3, 1): ("fe1afa3463c3e864453d2c3fd219e295f72a3d16e44fd30c7f20ffef7adbf05a",
+              "6c87f544cb163587abe1e3bd079aac587d2bf9c59e869647e2fcb46a49d1bb36"),
+    (4, 4): ("fe016774e28b49f935961d8b4fef02fbeeba339eb4f31ca22b1a822541f85b6f",
+             "2e4c36bab22e6dffaf23fe7f102e5cd9e6382a7abd8a7539542d5bed240cbc01"),
+    (1, 16): ("00bc08399c982546e043add6bf389376ec6d17be18f3818732f8d186742693d9",
+              "4f1e2919b5051c4bb8abc235a07925a9c8a23463acdaa41c0534857f7a999da6"),
+    (-27, -432):
+        ("3115009d1c7c6d000c7694353370f24c5a48943c9e2a5c8e0ed66023b93d9a87",
+         "bdaa3cd9b52b4daef96ed7d20b59689553d771208326bdc460da74fb22fbd1e0"),
+    (1, -27): ("b121f009e9416b6000dbbe139925d3aadbc4c5de8b218fc940548f2688af847c",
+               "657e8e834671e5185045f8a01eb760a5a0702bd75bc80c938d36e9b1d1b332a1"),
+}
+
+
+@pytest.mark.parametrize("A,B", list(PINNED_VERIFY_SHA256))
+def test_certify_verify_bytes_pinned(A, B, tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    assert run_cli(["certify", str(A), str(B), "--output", str(path)]) == 0
+    capsys.readouterr()
+    digests = []
+    for fmt in ("text", "json"):
+        assert run_cli(["certify", "--verify", str(path), "--format", fmt]) == 0
+        digests.append(
+            hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    assert tuple(digests) == PINNED_VERIFY_SHA256[(A, B)]
+
+
 #: sha256 of the stdout of `oracle A B ARGS...`: text and JSON of k=1
 #: descent-shape searches, and JSON of searches over all four k
 PINNED_ORACLE_SHA256 = {
@@ -537,6 +570,27 @@ def test_verify_tampered_pre_descent_point_fails_only_descent(
     data = _with("pre_descent_point", move(pre), witness=0)(cert_neg3_1)
     failures = verify_in_subprocess(tmp_path, data)
     assert failures == ["k=3: descent reconstruction matches"]
+
+
+def _without_used_descent(data):
+    data = json.loads(json.dumps(data))
+    del data["witnesses"][0]["used_descent"]
+    return data
+
+
+@pytest.mark.parametrize("mutate,named", [
+    (_with("used_descent", 0, witness=0), "field 'used_descent' is 0"),
+    (_with("used_descent", None, witness=0), "field 'used_descent' is None"),
+    (_with("used_descent", "no", witness=0), "field 'used_descent' is 'no'"),
+    (_with("used_descent", 1, witness=0), "field 'used_descent' is 1"),
+    (_without_used_descent, "no field 'used_descent'"),
+], ids=["zero", "null", "string", "one", "missing"])
+def test_verify_used_descent_must_be_a_boolean(mutate, named, cert_neg3_1,
+                                               tmp_path):
+    failures = verify_in_subprocess(tmp_path, mutate(cert_neg3_1))
+    assert len(failures) == 1, failures
+    assert failures[0].startswith("k=3: parse/verify error: ")
+    assert named in failures[0]
 
 
 # the last point's x would be an integer of 2^30 bits

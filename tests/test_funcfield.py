@@ -4,7 +4,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sexticrank.curve import ZETA6
 from sexticrank.exactnum import OMEGA, QuadExt
 from sexticrank.funcfield import (
     MAX_PARSE_BITS,
@@ -17,6 +16,9 @@ from sexticrank.funcfield import (
     poly_gcd,
     restrict_to_rational,
 )
+
+#: primitive sixth root of unity -omega
+ZETA6 = -OMEGA
 
 frac = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 polys = st.lists(frac, min_size=0, max_size=6).map(Poly)

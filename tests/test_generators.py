@@ -2,13 +2,13 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sexticrank import generators
 from sexticrank.curve import CurvePoint, FunctionFieldCurve, O
-from sexticrank.exactnum import QuadExt
-from sexticrank.funcfield import Poly, RatFunc, parse_ratfunc
+from sexticrank.exactnum import OMEGA, QuadExt
+from sexticrank.funcfield import Poly, RatFunc, lift_to_ext, parse_ratfunc
 from sexticrank.generators import (
     INCLUSION_ARROWS,
     VerificationReport,
@@ -116,7 +116,8 @@ def test_descent_combine_is_rational_and_nonzero():
         lifted = w.curve.lift()
         tw = lifted.omega_point(w.pre_descent)
         rebuilt = lifted.add(tw, lifted.galois_conj_point(tw))
-        assert rebuilt == lifted.lift_point(w.point)
+        assert rebuilt == CurvePoint(lift_to_ext(w.point.x),
+                                     lift_to_ext(w.point.y))
 
 
 def test_plain_trace_vanishes_in_descent_cases():
@@ -160,10 +161,102 @@ def test_eigenspace_identity_tags_the_component():
                 continue
             w = subfamily_generator(A, B, comp.k)
             W = base_change_embed(w.point, (comp.k, 1), (0, 6))
-            assert eigenspace_check(A, B, comp.k, W)
+            assert eigenspace_check(comp.k, W)
             for other in (1, 2, 3, 4):
                 if other != comp.k:
-                    assert not eigenspace_check(A, B, other, W)
+                    assert not eigenspace_check(other, W)
+
+
+def eigenspace_by_substitution(k, P):
+    """The eigenspace identity computed over Q(sqrt(-3))(t): substitute
+    t -> -omega*t and compare with tau^k(x, y) = (omega^k x, (-1)^k y)."""
+    x, y = lift_to_ext(P.x), lift_to_ext(P.y)
+    zeta6_t = RatFunc(Poly([0, -OMEGA], QuadExt))
+    return (x.substitute(zeta6_t) == x * OMEGA ** k
+            and y.substitute(zeta6_t) == y * (-1) ** k)
+
+
+nonzero_fracs = st.fractions(min_value=-9, max_value=9,
+                             max_denominator=4).filter(bool)
+quad_coeffs = st.builds(QuadExt, nonzero_fracs,
+                        st.fractions(min_value=-9, max_value=9,
+                                     max_denominator=4))
+
+
+@st.composite
+def residue_ratfuncs(draw, field, e):
+    """n/d with the exponents of d all delta mod 6 and those of n all
+    delta + e mod 6, so that f(zeta6*t) = zeta6^e f; d is a monomial when
+    it has one term.  Half the draws add one stray term to n or d."""
+    coeff = nonzero_fracs if field is Fraction else quad_coeffs
+    delta = draw(st.integers(0, 5))
+    terms = [{}, {}]  # exponent -> coefficient, for n and for d
+    for part, base in ((0, (delta + e) % 6), (1, delta)):
+        for m in draw(st.sets(st.integers(0, 1), min_size=1)):
+            terms[part][base + 6 * m] = draw(coeff)
+    if draw(st.booleans()):
+        part = terms[draw(st.integers(0, 1))]
+        i = draw(st.integers(0, 11))
+        part[i] = part.get(i, 0) + draw(coeff)
+    num, den = ([part.get(i, 0) for i in range(12)] for part in terms)
+    assume(any(den))
+    return RatFunc(Poly(num, field), Poly(den, field))
+
+
+@st.composite
+def residue_points(draw):
+    """A point whose coordinates follow the residue pattern of one tag."""
+    field = draw(st.sampled_from([Fraction, QuadExt]))
+    tag = draw(st.integers(1, 4))
+    return CurvePoint(draw(residue_ratfuncs(field, 4 * tag)),
+                      draw(residue_ratfuncs(field, 3 * tag)))
+
+
+def test_eigenspace_residue_rule_matches_substitution():
+    outcomes = set()
+
+    @given(residue_points())
+    @settings(max_examples=150, deadline=None)
+    def agree(P):
+        for k in (1, 2, 3, 4):
+            expected = eigenspace_by_substitution(k, P)
+            assert eigenspace_check(k, P) == expected, (k, P)
+            outcomes.add(expected)
+
+    agree()
+    assert outcomes == {True, False}
+
+
+def test_eigenspace_check_lifts_and_substitutes_nothing(monkeypatch):
+    # every witness of (1, 16) is direct, so its verification has no
+    # reason to leave Q(t)
+    data = certificate_to_json(full_certificate(1, 16))
+    depth, inner_calls, checks = [0], [], []
+    original_check = generators.eigenspace_check
+
+    def counted_check(*args):
+        checks.append(args)
+        depth[0] += 1
+        try:
+            return original_check(*args)
+        finally:
+            depth[0] -= 1
+
+    def count_inside(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            if depth[0]:
+                inner_calls.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    monkeypatch.setattr(generators, "eigenspace_check", counted_check)
+    count_inside(FunctionFieldCurve, "lift")
+    count_inside(RatFunc, "substitute")
+    assert verify_certificate_json(data).ok
+    assert len(checks) == 3
+    assert inner_calls == []
 
 
 def test_multiples_nonzero():
@@ -357,7 +450,7 @@ def test_generator_iff_criterion(pair):
         assert w.curve.contains(w.point) and not w.point.is_infinity
         W = base_change_embed(w.point, (comp.k, 1), (0, 6))
         assert E.contains(W)
-        assert eigenspace_check(A, B, comp.k, W)
+        assert eigenspace_check(comp.k, W)
 
 
 @pytest.mark.parametrize("A,B,rank,ks,descents", CERT_CASES)
