@@ -1,7 +1,9 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -16,8 +18,10 @@ from sexticrank.generators import (
     certificate_to_json,
     eigenspace_check,
     full_certificate,
+    descended_point,
     galois_descent_combine,
     multiples_nonzero,
+    shioda_height,
     subfamily_generator,
     verify_certificate_json,
     verify_inclusion_chain,
@@ -126,6 +130,36 @@ def test_plain_trace_vanishes_in_descent_cases():
     lifted = w.curve.lift()
     P = w.pre_descent
     assert lifted.add(P, lifted.galois_conj_point(P)) == O
+
+
+def test_descended_point_equals_group_law_descent():
+    # the closed form against omega(P) + conj(omega(P)) through the group law
+    counts = dict.fromkeys((1, 2, 3, 4), 0)
+    values = [v for v in range(-60, 61) if v]
+    for A in values:
+        for B in values:
+            for k in (1, 2, 3, 4):
+                w = subfamily_generator(A, B, k)
+                if w is not None and w.used_descent:
+                    counts[k] += 1
+                    assert galois_descent_combine(w.curve, w.pre_descent) \
+                        == w.point, (A, B, k)
+    assert counts == {1: 12, 2: 24, 3: 24, 4: 12}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_descended_point_lies_on_the_curve_identically(k):
+    # c^3 = the cube value and d^2 = -3 * the square value of CRITERIA[k]
+    c, d, s = sympy.symbols("c d s", nonzero=True)
+    square = -d**2 / 3
+    A, B = {1: (square, -3 * c**3 / (4 * d**2)), 2: (c**3, square),
+            3: (square, c**3), 4: (-3 * c**3 / (4 * d**2), square)}[k]
+    xs, ys = descended_point(k if k <= 2 else 5 - k, c, d)
+    x = sum(a * s**i for i, a in enumerate(xs))
+    y = sum(a * s**i for i, a in enumerate(ys))
+    if k >= 3:  # parameter inversion of the swapped pair's point
+        x, y = s**2 * x.subs(s, 1 / s), s**3 * y.subs(s, 1 / s)
+    assert sympy.simplify(y**2 - x**3 - s**k * (A * s + B)) == 0
 
 
 # -- base change ------------------------------------------------------------------
@@ -287,6 +321,60 @@ def test_multiples_nonzero_takes_one_running_sum(monkeypatch):
     assert len(calls) <= 5
 
 
+#: the heights of each pair's witnesses, in k order; the Gram matrices
+#: the group law gives are diagonal with these entries
+WITNESS_HEIGHTS = {
+    (8, 9): [2],
+    (1, 16): [4, 2, 4],
+    (4, 4): [4, 4],
+    (-27, -432): [12, 6, 12],
+    (1, -432): [4, 6, 12],
+    (-27, 16): [12, 2, 4],
+}
+
+
+@pytest.mark.parametrize("A,B", list(WITNESS_HEIGHTS))
+def test_heights_match_the_group_law(A, B):
+    cert = full_certificate(A, B)
+    names = [c.name for c in cert.checks]
+    printed = [int(name.rsplit(" ", 1)[1]) for name in names
+               if "Shioda height" in name]
+    heights = WITNESS_HEIGHTS[(A, B)]
+    assert printed == heights
+    assert ("witness eigenspace indices pairwise distinct, so the regulator "
+            f"is {math.prod(heights)}") in names
+    E = FunctionFieldCurve.sextic(A, B)
+    pts = cert.embedded
+    # <P, Q> = (h(P + Q) - h(P) - h(Q)) / 2, the sum through the group law;
+    # on the diagonal that is (h(2P) - 2 h(P)) / 2
+    gram = [[Fraction(shioda_height(E.add(P, Q)) - shioda_height(P)
+                      - shioda_height(Q), 2) for Q in pts] for P in pts]
+    assert gram == [[h if i == j else 0 for j in range(len(pts))]
+                    for i, h in enumerate(heights)]
+    assert all(multiples_nonzero(E, P, 6) for P in pts)
+
+
+def test_certificates_never_use_the_group_law(monkeypatch):
+    calls = []
+
+    def counted(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(FunctionFieldCurve, "add")
+    counted(generators, "galois_descent_combine")
+    counted(generators, "multiples_nonzero")
+    for pair in [(8, 9), (-3, 1), (4, 4), (1, 16), (-27, -432), (1, -27)]:
+        cert = full_certificate(*pair)
+        assert cert.all_passed
+        assert verify_certificate_json(certificate_to_json(cert)).ok
+    assert calls == []
+
+
 # -- certificates ------------------------------------------------------------------
 
 CERT_CASES = [
@@ -371,7 +459,7 @@ json_values = st.recursive(
     | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=5)
 
-POINT_FIELDS = ("subfamily_point", "embedded_point", "pre_descent_point")
+POINT_FIELDS = ("subfamily_point", "embedded_point")
 #: the characters of the point grammar for the subfamily variable
 GRAMMAR_TEXT = st.text(alphabet="s0123456789+-*/^(), ", max_size=24)
 
