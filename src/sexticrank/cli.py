@@ -211,29 +211,33 @@ def _emit_verification(report, fmt: str) -> int:
 def cmd_census(args) -> int:
     if args.bound > MAX_CENSUS_BOUND:
         _PARSER.error(f"--bound is above the limit of {MAX_CENSUS_BOUND}")
-    # rows per distinct ending "rank\tcase"; each ending's case is
-    # checked against its rank once
+    # rows per distinct ending: a row's last four characters hold
+    # "rank\tcase", as the rank is one digit and a case label one or two
+    # characters (a one-character label brings the tab before the rank).
+    # Each ending is decoded once; the disagreeing ones are kept in a set.
     endings = {}
-    disagrees = {}
+    ranks = {}
+    bad = set()
     disagreements = []
     write = sys.stdout.write  # print writes the newline in a second call
     rows = census_rows(args.bound, jobs=args.jobs)
     write(next(rows) + "\n")  # the header
     for line in rows:
         write(line + "\n")
-        ending = line[line.rindex("\t", 0, line.rindex("\t")) + 1:]
+        ending = line[-4:]
         if ending in endings:
             endings[ending] += 1
         else:
             endings[ending] = 1
-            rank, case = ending.split("\t")
-            disagrees[ending] = CASE_RANK[case] != int(rank)
-        if disagrees[ending]:
+            rank, case = ending.lstrip("\t").split("\t")
+            ranks[ending] = int(rank)
+            if CASE_RANK[case] != ranks[ending]:
+                bad.add(ending)
+        if bad and ending in bad:
             disagreements.append(line.split("\t", 2)[:2])
     histogram = {}
     for ending, count in endings.items():
-        rank = int(ending.partition("\t")[0])
-        histogram[rank] = histogram.get(rank, 0) + count
+        histogram[ranks[ending]] = histogram.get(ranks[ending], 0) + count
     pairs = sum(endings.values())
     print(f"# pairs {pairs}")
     print("# rank histogram "

@@ -56,6 +56,7 @@ __all__ = [
     "multiples_nonzero",
     "shioda_height",
     "descended_point",
+    "construction_text",
     "CertificateCheck",
     "RankCertificate",
     "full_certificate",
@@ -93,6 +94,14 @@ _CONSTRUCTIONS = {
 }
 
 
+def construction_text(k: int, used_descent: bool) -> str:
+    """How criterion k's witness is built, as its certificate states it."""
+    if used_descent:
+        return (_CONSTRUCTIONS[k]
+                + "; then Galois descent: omega-twist plus its conjugate")
+    return _CONSTRUCTIONS[k]
+
+
 def subfamily_generator(A, B, k: int) -> Optional[GeneratorWitness]:
     """The closed-form generator on y^2 = x^3 + s^k (A s + B).
 
@@ -126,17 +135,15 @@ def subfamily_generator(A, B, k: int) -> Optional[GeneratorWitness]:
     else:
         x, y = [0, -c], [0, r]
     point = _inverted_point(x, y, k, QuadExt if twisted else Fraction)
-    construction = _CONSTRUCTIONS[k]
     curve = FunctionFieldCurve.subfamily(A, B, k, 1)
     pre = None
     if twisted:
         pre = point
         point = _inverted_point(*descended_point(base, c, sq.root), k, Fraction)
-        construction += "; then Galois descent: omega-twist plus its conjugate"
     curve.require_on_curve(point)
     return GeneratorWitness(k=k, A=A, B=B, curve=curve, point=point,
                             pre_descent=pre, used_descent=twisted,
-                            construction=construction)
+                            construction=construction_text(k, twisted))
 
 
 def _inverted_point(x: list, y: list, k: int, field) -> CurvePoint:
@@ -424,10 +431,10 @@ def verify_certificate_json(data) -> VerificationReport:
     This is the only certificate checker: ``full_certificate`` takes its
     checks from it too.  Every check is recomputed from the parsed
     points; the stored check results are ignored.  A malformed field, a
-    stored rank or r that differs from the recomputed one, and a point
-    that does not parse each add one named failed check, and only when
-    they fail, so a certificate that verifies gets exactly the check
-    names stored in it.
+    stored rank, r, used_descent or construction that differs from the
+    recomputed one, and a point that does not parse each add one named
+    failed check, and only when they fail, so a certificate that
+    verifies gets exactly the check names stored in it.
     """
     try:
         A = _rational_field(data, "A")
@@ -478,8 +485,16 @@ def verify_certificate_json(data) -> VerificationReport:
                 check(f"k={k}: Shioda height {heights[-1]}", True)
             else:
                 check(f"k={k}: Shioda height", False)
-            # a required boolean, though no check depends on it
-            _field(wd, "used_descent", bool)
+            # the stated construction must be the one criterion k's
+            # square kind calls for
+            descent = bd.reasons[k - 1].square_kind == "neg3_square"
+            if _field(wd, "used_descent", bool) != descent:
+                check(f"k={k}: stored used_descent matches recomputation",
+                      False)
+            if (_field(wd, "construction", str)
+                    != construction_text(k, descent)):
+                check(f"k={k}: stored construction matches recomputation",
+                      False)
         except (ValueError, TypeError, ZeroDivisionError) as exc:
             check(f"k={k}: parse/verify error: {exc}", False)
 

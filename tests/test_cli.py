@@ -14,7 +14,8 @@ import sexticrank
 from sexticrank import cli
 from sexticrank.cli import main
 from sexticrank.exactnum import MAX_LITERAL_DIGITS
-from sexticrank.generators import certificate_to_json, full_certificate
+from sexticrank.generators import (certificate_to_json, construction_text,
+                                   full_certificate)
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 
@@ -452,6 +453,27 @@ def test_census_names_each_disagreement_in_row_order(capsys, monkeypatch):
                                 for a, b in bad]
 
 
+def test_census_fold_decodes_one_and_two_character_cases(capsys,
+                                                         monkeypatch):
+    # the fold reads "rank\tcase" off a row's last four characters
+    assert all(1 <= len(case) <= 2 for case in cli.CASE_RANK)
+    monkeypatch.setattr(cli, "CASE_RANK", {**cli.CASE_RANK, "1": 0, "2c": 3})
+    assert run_cli(["census", "--bound", "30"]) == 1
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    rows = [line.split("\t") for line in lines[1:-3]]
+    wrong = [cols for cols in rows if cols[9] in ("1", "2c")]
+    assert {cols[9] for cols in wrong} == {"1", "2c"}
+    bad = [(cols[0], cols[1]) for cols in wrong]
+    assert lines[-3:] == [
+        "# pairs 3600",
+        "# rank histogram 0:3481 1:102 2:13 3:4",
+        f"# classify agreements {3600 - len(bad)}/3600",
+    ]
+    assert err.splitlines() == [f"disagreement at A = {a}, B = {b}"
+                                for a, b in bad]
+
+
 #: sha256 of the stdout of `census --bound 100`
 PINNED_CENSUS_100_SHA256 = (
     "a349889db87f63e18843206d5ccdd1b686ead84dbaa19cf33441cfd725bc7c9b")
@@ -580,6 +602,26 @@ def test_verify_used_descent_must_be_a_boolean(mutate, named, cert_neg3_1,
     assert len(failures) == 1, failures
     assert failures[0].startswith("k=3: parse/verify error: ")
     assert named in failures[0]
+
+
+@pytest.mark.parametrize("pair,field,value,k", [
+    ((8, 9), "used_descent", True, 2),
+    ((8, 9), "construction", "anything", 2),
+    ((-3, 1), "used_descent", False, 3),
+    # the direct point's construction, a plausible false claim
+    ((-3, 1), "construction", construction_text(3, False), 3),
+], ids=["8-9-used-descent", "8-9-construction", "neg3-1-used-descent",
+        "neg3-1-construction"])
+def test_verify_stated_construction_must_match_the_criterion(
+        pair, field, value, k, capsys, tmp_path):
+    data = certificate_to_json(full_certificate(*pair))
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(_with(field, value, witness=0)(data)))
+    assert run_cli(["certify", "--verify", str(path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("FAIL ")] == [
+        f"FAIL k={k}: stored {field} matches recomputation"]
+    assert lines[-1] == "certificate DOES NOT verify"
 
 
 # the last point's x would be an integer of 2^30 bits

@@ -3,6 +3,7 @@ import multiprocessing.pool
 import threading
 import time
 from fractions import Fraction
+from itertools import product
 from types import SimpleNamespace
 
 import pytest
@@ -321,6 +322,42 @@ def test_census_pairs_take_no_root_extraction(monkeypatch):
     monkeypatch.setattr(rankalg, "is_kth_power", counting)
     assert len(list(census_rows(30))) == 1 + 60 * 60
     assert calls == []
+
+
+def test_census_calls_case_per_key_not_per_pair(monkeypatch):
+    values, facts, *_ = rankalg._value_tables(30)
+    calls = {"_case": 0, "_prefer_swap": 0}
+    for name in calls:
+        original = getattr(rankalg, name)
+
+        def counting(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(rankalg, name, counting)
+    assert len(list(census_rows(30))) == 1 + 60 * 60
+    # each A reads its table under at most 32 keys (B's four class bits
+    # and B < A), and goes to _case directly where its class facts make
+    # 4AB a cube
+    direct = sum(1 for A in values for B in values
+                 if facts[A].partner4 == facts[B].mod3)
+    assert direct < 3600 // 4
+    for name, count in calls.items():
+        assert count <= 32 * len(values) + direct, name
+
+
+def test_census_case_table_equals_the_direct_path():
+    # _case stays the one definition of the class route; every row's
+    # case is _case on the _prefer_swap-ordered pair
+    values = sixth_power_free_values(100)
+    facts = {v: class_facts(exactnum.sixth_power_class(v)) for v in values}
+    rows = list(census_rows(100))[1:]
+    assert len(rows) == len(values) ** 2
+    for line, (A, B) in zip(rows, product(values, values)):
+        cols = line.split("\t")
+        assert (int(cols[0]), int(cols[1])) == (A, B)
+        a, b = (B, A) if rankalg._prefer_swap(A, B) else (A, B)
+        assert cols[9] == rankalg._case(a, b, facts[a], facts[b])[1]
 
 
 def test_pooled_census_draws_values_as_its_rows_are_read(monkeypatch):
