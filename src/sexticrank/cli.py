@@ -132,10 +132,10 @@ def _component_text(reason) -> str:
 def cmd_rank(args) -> int:
     _require_nonzero(args)
     bd = rank_breakdown(args.A, args.B)
-    if args.format == "json":
-        print(json.dumps(breakdown_to_json(bd), indent=2))
-        return 0
     data = breakdown_to_json(bd)
+    if args.format == "json":
+        print(json.dumps(data, indent=2))
+        return 0
     cls = {n: data[f"{n}_class"] for n in "AB"}
     print(f"A = {bd.A} (class {cls['A'] or 'unknown'}), "
           f"B = {bd.B} (class {cls['B'] or 'unknown'})")

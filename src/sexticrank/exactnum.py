@@ -4,8 +4,9 @@ Rationals are stdlib ``fractions.Fraction``, read from text only in the
 integer-or-p/q grammar of ``parse_rational``;
 on top of that this module provides perfect-power detection, the
 square-or-(-3)-times-square trichotomy, canonical sixth-power residue
-classes, and the quadratic extension Q(sqrt(-3)) needed for Galois
-descent.  Everything is unconditional: a computation either returns an
+classes, and the quadratic extension Q(sqrt(-3)), in which the tests'
+group-law references take the Galois descent; the commands compute over
+Q alone.  Everything is unconditional: a computation either returns an
 exact answer or raises a typed error, never a heuristic guess.
 """
 

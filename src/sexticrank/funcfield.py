@@ -3,9 +3,11 @@
 The coefficient field is passed as a class (``fractions.Fraction`` for
 Q, :class:`~sexticrank.exactnum.QuadExt` for Q(sqrt(-3))); it only
 needs exact ``+ - * /``, equality, and construction from small ints.
-On top sit a text form ("(3/2)*t^2 - 1") and a parser for it, used by
-the certificate files so that a saved point can be re-read and
-re-checked from scratch.
+The commands compute over Q; Q(sqrt(-3)) serves the group-law
+references that the tests compare the closed forms with.  On top sit a
+text form ("(3/2)*t^2 - 1") and a parser for it over Q, used by the
+certificate files so that a saved point can be re-read and re-checked
+from scratch.
 """
 
 from __future__ import annotations
@@ -322,14 +324,6 @@ class RatFunc:
     def is_polynomial(self) -> bool:
         return self.den.degree == 0
 
-    def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den.degree == 0
-
-    def constant_value(self):
-        if not self.is_constant():
-            raise ValueError(f"{self} is not constant")
-        return self.num[0]
-
     # -- arithmetic -----------------------------------------------------------
 
     def _coerce(self, other):
@@ -517,23 +511,21 @@ def _size(f: RatFunc) -> int:
 
 def _bits(p: Poly) -> int:
     """A count b such that the numerator and denominator of every
-    coefficient part of p^n together have at most n*b bits: the bits of
-    all of p's coefficient parts, plus the growth from summing products.
-    A rational coefficient c counts as c + 0*sqrt(-3)."""
+    coefficient of p^n together have at most n*b bits: the bits of all
+    of p's coefficients and one more for each, plus the growth from
+    summing products."""
     return len(p.coeffs).bit_length() + 2 + sum(
-        part.numerator.bit_length() + part.denominator.bit_length()
-        for c in p.coeffs
-        for part in ((c.a, c.b) if isinstance(c, QuadExt) else (c, 0)))
+        c.numerator.bit_length() + c.denominator.bit_length() + 1
+        for c in p.coeffs)
 
 
 class _Parser:
-    """Recursive descent over +, -, *, /, ^, parentheses, integers, one
-    free variable, and the literal sqrt(-3).  Builds over Q unless the
-    text names sqrt, and over Q(sqrt(-3)) if it does."""
+    """Recursive descent over +, -, *, /, ^, parentheses, integers and
+    one free variable, building over Q.  The grammar has no functions,
+    so a name followed by "(", such as sqrt, is refused."""
 
     def __init__(self, text: str, var: Optional[str]):
         self.tokens = self._lex(text)
-        self.field = QuadExt if ("name", "sqrt") in self.tokens else Fraction
         self.pos = 0
         self.var = var
         self.depth = 0
@@ -648,30 +640,24 @@ class _Parser:
     def atom(self) -> RatFunc:
         kind, val = self.take()
         if kind == "int":
-            return RatFunc.constant(self.field(val), self.field)
+            return RatFunc.constant(val)
         if kind == "op" and val == "(":
             return self.parenthesized()
         if kind == "name":
-            if val == "sqrt":
-                self.expect("(")
-                arg = self.parenthesized()
-                if not (arg.is_constant() and arg.constant_value() == QuadExt(-3)):
-                    raise ValueError("only sqrt(-3) is supported")
-                return RatFunc.constant(QuadExt(0, 1), QuadExt)
-            if self.var is None:
+            if self.var is None and self.peek() != ("op", "("):
                 self.var = val
-            if val != self.var:
-                raise ValueError(f"unexpected name {val!r} (variable is {self.var!r})")
-            return RatFunc.variable(self.field)
+            if val == self.var:
+                return RatFunc.variable()
+            where = f" (variable is {self.var!r})" if self.var else ""
+            raise ValueError(f"unexpected name {val!r}{where}")
         raise ValueError(f"unexpected token {val!r}")
 
 
 def parse_ratfunc(text: str, var: Optional[str] = None) -> RatFunc:
-    """Parse the display form back into a RatFunc.
+    """Parse the display form back into a RatFunc over Q.
 
-    The result is over Q when every coefficient is rational, otherwise
-    over Q(sqrt(-3)).  The variable name is inferred from the first
-    identifier unless pinned with ``var``.
+    The variable name is inferred from the first identifier unless
+    pinned with ``var``.
     """
     return _parse_with_var(text, var)[0]
 
@@ -679,11 +665,7 @@ def parse_ratfunc(text: str, var: Optional[str] = None) -> RatFunc:
 def _parse_with_var(text: str, var: Optional[str]):
     """parse_ratfunc's result and the variable name read (None if none)."""
     parser = _Parser(text, var)
-    f = parser.parse()
-    try:
-        return restrict_to_rational(f), parser.var
-    except ValueError:
-        return f, parser.var
+    return parser.parse(), parser.var
 
 
 def parse_point(text: str, var: Optional[str] = None):

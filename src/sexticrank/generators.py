@@ -39,7 +39,6 @@ from typing import Optional
 
 from .curve import LEGAL_KM, CurvePoint, FunctionFieldCurve, O
 from .exactnum import (
-    QuadExt,
     is_kth_power,
     is_square_or_neg3_square,
     parse_rational,
@@ -55,6 +54,7 @@ __all__ = [
     "eigenspace_check",
     "multiples_nonzero",
     "shioda_height",
+    "direct_point",
     "descended_point",
     "construction_text",
     "CertificateCheck",
@@ -71,14 +71,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class GeneratorWitness:
-    """A rational point on one subfamily curve, with its origin story."""
+    """A point over Q on one subfamily curve, with its origin story:
+    ``used_descent`` says whether it is the Galois descent of a point
+    over Q(sqrt(-3)) or criterion k's direct point."""
 
     k: int
     A: Fraction
     B: Fraction
     curve: FunctionFieldCurve
     point: CurvePoint
-    pre_descent: Optional[CurvePoint]
     used_descent: bool
     construction: str
 
@@ -106,12 +107,13 @@ def subfamily_generator(A, B, k: int) -> Optional[GeneratorWitness]:
     """The closed-form generator on y^2 = x^3 + s^k (A s + B).
 
     Returns None when criterion k (``CRITERIA[k]``) fails for (A, B).
-    Its cube root c and square root r give the point; r lies in
-    Q(sqrt(-3)) when only -3 times the value is a square, and then the
-    rational point is its descent omega(P) + conj(omega(P)), written
-    in closed form by ``descended_point``.  The k = 3, 4 points are the
-    k = 2, 1 points of the swapped pair (B, A) pushed through the
-    parameter inversion s -> 1/s, (x, y) -> (s^2 x, s^3 y).
+    Its cube root c and square root r give the point (``direct_point``);
+    when only -3 times the square value is a square, r lies in
+    Q(sqrt(-3)) and the rational witness is that point's descent
+    omega(P) + conj(omega(P)), written in closed form by
+    ``descended_point``.  The k = 3, 4 points are the k = 2, 1 points of
+    the swapped pair (B, A) pushed through the parameter inversion
+    s -> 1/s, (x, y) -> (s^2 x, s^3 y).
     """
     A, B = Fraction(A), Fraction(B)
     if A == 0 or B == 0:
@@ -128,32 +130,38 @@ def subfamily_generator(A, B, k: int) -> Optional[GeneratorWitness]:
         return None
     twisted = sq.kind == "neg3_square"
     base, (a, b) = (k, (A, B)) if k <= 2 else (5 - k, (B, A))
-    # -3v = d^2 makes (d/3)*sqrt(-3) a square root of v
-    r = QuadExt(0, Fraction(sq.root, 3)) if twisted else sq.root
-    if base == 1:
-        x, y = [b / c], [r * (b / (2 * a)), r]
-    else:
-        x, y = [0, -c], [0, r]
-    point = _inverted_point(x, y, k, QuadExt if twisted else Fraction)
+    x, y = (descended_point(base, c, sq.root) if twisted
+            else direct_point(base, a, b, c, sq.root))
+    point = _inverted_point(x, y, k)
     curve = FunctionFieldCurve.subfamily(A, B, k, 1)
-    pre = None
-    if twisted:
-        pre = point
-        point = _inverted_point(*descended_point(base, c, sq.root), k, Fraction)
     curve.require_on_curve(point)
     return GeneratorWitness(k=k, A=A, B=B, curve=curve, point=point,
-                            pre_descent=pre, used_descent=twisted,
+                            used_descent=twisted,
                             construction=construction_text(k, twisted))
 
 
-def _inverted_point(x: list, y: list, k: int, field) -> CurvePoint:
+def _inverted_point(x: list, y: list, k: int) -> CurvePoint:
     """The point with coefficient lists x and y in s; for k = 3, 4 they
     are the swapped pair's, and s -> 1/s, (x, y) -> (s^2 x, s^3 y)
     reverses x padded to degree 2 and y padded to degree 3."""
     if k >= 3:
         x = (x + [0] * (3 - len(x)))[::-1]
         y = (y + [0] * (4 - len(y)))[::-1]
-    return CurvePoint(RatFunc(Poly(x, field)), RatFunc(Poly(y, field)))
+    return CurvePoint(RatFunc(Poly(x)), RatFunc(Poly(y)))
+
+
+def direct_point(k: int, a, b, c, r) -> tuple:
+    """Coefficient lists in s of x and y of criterion k's point on
+    y^2 = x^3 + s^k (a s + b), for k = 1 or 2.  c is the criterion's
+    cube root and r a square root of its square value, in whatever field
+    holds r:
+
+    k = 1: x = b/c,  y = r b/(2a) + r s    (c^3 = 4ab, r^2 = a);
+    k = 2: x = -c s, y = r s               (c^3 = a,   r^2 = b).
+    """
+    if k == 1:
+        return [b / c], [r * (b / (2 * a)), r]
+    return [0, -c], [0, r]
 
 
 def descended_point(k: int, c, d) -> tuple:
@@ -417,12 +425,7 @@ def _rational_field(obj, name: str) -> Fraction:
 
 def _parse_rational_point(text: str) -> CurvePoint:
     parsed = parse_point(text)
-    if parsed is None:
-        return O
-    x, y = parsed
-    if x.field is not y.field:
-        raise ValueError("mixed coordinate fields in a rational point")
-    return CurvePoint(x, y)
+    return O if parsed is None else CurvePoint(*parsed)
 
 
 def verify_certificate_json(data) -> VerificationReport:

@@ -11,7 +11,7 @@ import jsonschema
 import pytest
 
 import sexticrank
-from sexticrank import cli
+from sexticrank import cli, exactnum
 from sexticrank.cli import main
 from sexticrank.exactnum import MAX_LITERAL_DIGITS
 from sexticrank.generators import (certificate_to_json, construction_text,
@@ -622,6 +622,48 @@ def test_verify_stated_construction_must_match_the_criterion(
     assert [line for line in lines if line.startswith("FAIL ")] == [
         f"FAIL k={k}: stored {field} matches recomputation"]
     assert lines[-1] == "certificate DOES NOT verify"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_refuses_a_sqrt_point_cleanly(fmt, cert_neg3_1, capsys,
+                                             tmp_path):
+    # the parser reads Q only, so sqrt(-3) is a name it does not know
+    data = _with("subfamily_point", "(s, sqrt(-3)*s^2)", witness=0)(cert_neg3_1)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(data))
+    assert run_cli(["certify", "--verify", str(path), "--format", fmt]) == 1
+    out, err = capsys.readouterr()
+    if fmt == "json":
+        failed = [c["name"] for c in json.loads(out)["checks"]
+                  if not c["passed"]]
+    else:
+        failed = [line[len("FAIL "):] for line in out.splitlines()
+                  if line.startswith("FAIL ")]
+    assert failed == [
+        "k=3: parse/verify error: unexpected name 'sqrt' (variable is 's')"]
+    assert err == ""
+
+
+def test_commands_construct_no_quadext(monkeypatch, tmp_path, capsys):
+    # the commands compute over Q; Q(sqrt(-3)) serves the tests' references
+    made = []
+    init = exactnum.QuadExt.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(exactnum.QuadExt, "__init__", counted)
+    path = str(tmp_path / "cert.json")
+    for A, B in PINNED_CERTIFICATE_SHA256:
+        A, B = str(A), str(B)
+        for argv in (["certify", A, B, "--output", path],
+                     ["certify", "--verify", path],
+                     ["oracle", A, B, "--height", "4"], ["rank", A, B]):
+            assert run_cli(argv) == 0, argv
+    assert run_cli(["census", "--bound", "10"]) == 0
+    capsys.readouterr()
+    assert len(made) == 0
 
 
 # the last point's x would be an integer of 2^30 bits

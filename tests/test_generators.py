@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from sexticrank import generators
 from sexticrank.curve import CurvePoint, FunctionFieldCurve, O
-from sexticrank.exactnum import OMEGA, QuadExt
+from sexticrank.exactnum import (OMEGA, QuadExt, is_kth_power,
+                                  is_square_or_neg3_square)
 from sexticrank.funcfield import Poly, RatFunc, lift_to_ext, parse_ratfunc
 from sexticrank.generators import (
     INCLUSION_ARROWS,
@@ -19,6 +20,7 @@ from sexticrank.generators import (
     eigenspace_check,
     full_certificate,
     descended_point,
+    direct_point,
     galois_descent_combine,
     multiples_nonzero,
     shioda_height,
@@ -26,7 +28,7 @@ from sexticrank.generators import (
     verify_certificate_json,
     verify_inclusion_chain,
 )
-from sexticrank.rankalg import rank_breakdown
+from sexticrank.rankalg import CRITERIA, criterion_values, rank_breakdown
 
 
 def pt(xs, ys):
@@ -37,7 +39,7 @@ def pt(xs, ys):
 
 def test_k1_direct_point():
     w = subfamily_generator(1, 16, 1)
-    assert not w.used_descent and w.pre_descent is None
+    assert not w.used_descent
     assert w.point == pt("4", "s + 8")
     w.curve.require_on_curve(w.point)
 
@@ -91,11 +93,26 @@ def test_generator_takes_one_cube_root_then_one_square_test(A, B, monkeypatch):
 
 # -- Galois descent -------------------------------------------------------------
 
+def pre_descent(w):
+    """The point over Q(sqrt(-3)) that the twisted witness w descends
+    from: criterion k's direct point with r = (d/3)*sqrt(-3), where
+    d^2 = -3 times the square value, inverted for k = 3, 4."""
+    cube_name, square_name = CRITERIA[w.k]
+    values = criterion_values(w.A, w.B)
+    c = is_kth_power(values[cube_name], 3)
+    d = is_square_or_neg3_square(values[square_name]).root
+    base, (a, b) = (w.k, (w.A, w.B)) if w.k <= 2 else (5 - w.k, (w.B, w.A))
+    x, y = direct_point(base, a, b, c, QuadExt(0, d / 3))
+    if w.k >= 3:
+        x, y = (x + [0] * (3 - len(x)))[::-1], (y + [0] * (4 - len(y)))[::-1]
+    return CurvePoint(RatFunc(Poly(x, QuadExt)), RatFunc(Poly(y, QuadExt)))
+
+
 def test_descent_regression_k3():
     # A = -3: only -3A = 9 is a square, so the naive point is twisted
     w = subfamily_generator(-3, 1, 3)
     assert w.used_descent
-    assert w.pre_descent == CurvePoint(
+    assert pre_descent(w) == CurvePoint(
         RatFunc(Poly([0, -1], QuadExt)),
         RatFunc(Poly([0, 0, QuadExt(0, 1)], QuadExt)))
     assert w.point == pt("4*s^2 - s", "8*s^3 - 3*s^2")
@@ -118,7 +135,7 @@ def test_descent_combine_is_rational_and_nonzero():
         assert w.point.x.field is Fraction
         assert not w.point.is_infinity
         lifted = w.curve.lift()
-        tw = lifted.omega_point(w.pre_descent)
+        tw = lifted.omega_point(pre_descent(w))
         rebuilt = lifted.add(tw, lifted.galois_conj_point(tw))
         assert rebuilt == CurvePoint(lift_to_ext(w.point.x),
                                      lift_to_ext(w.point.y))
@@ -128,7 +145,7 @@ def test_plain_trace_vanishes_in_descent_cases():
     # the reason the omega-twist is needed at all
     w = subfamily_generator(-3, 1, 3)
     lifted = w.curve.lift()
-    P = w.pre_descent
+    P = pre_descent(w)
     assert lifted.add(P, lifted.galois_conj_point(P)) == O
 
 
@@ -142,7 +159,7 @@ def test_descended_point_equals_group_law_descent():
                 w = subfamily_generator(A, B, k)
                 if w is not None and w.used_descent:
                     counts[k] += 1
-                    assert galois_descent_combine(w.curve, w.pre_descent) \
+                    assert galois_descent_combine(w.curve, pre_descent(w)) \
                         == w.point, (A, B, k)
     assert counts == {1: 12, 2: 24, 3: 24, 4: 12}
 
