@@ -19,6 +19,7 @@ from fractions import Fraction
 from .exactnum import parse_rational
 from .generators import (
     certificate_to_json,
+    construction_text,
     full_certificate,
     verify_certificate_json,
 )
@@ -179,12 +180,12 @@ def cmd_certify(args) -> int:
         print(json.dumps(data, indent=2))
     else:
         print(f"A = {cert.A}, B = {cert.B}: rank {cert.rank}")
-        for w in data["witnesses"]:
-            print(f"witness k={w['k']}: {w['subfamily_point']}"
-                  f" on {w['subfamily']}")
-            print(f"  construction: {w['construction']}"
-                  + (" (Galois descent)" if w["used_descent"] else ""))
-            print(f"  embeds as {w['embedded_point']}")
+        for w, stored in zip(cert.witnesses, data["witnesses"]):
+            print(f"witness k={w.k}: {stored['subfamily_point']}"
+                  f" on {w.curve}")
+            print(f"  construction: {construction_text(w.k, w.used_descent)}"
+                  + (" (Galois descent)" if w.used_descent else ""))
+            print(f"  embeds as {stored['embedded_point']}")
         total = len(cert.checks)
         print(f"checks passed: {total - len(failures)}/{total}")
         for name in failures:
@@ -293,6 +294,14 @@ def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
         return args.run(args)
+    except ValueError as exc:
+        # literals within MAX_LITERAL_DIGITS can still give a point too
+        # large to print; any other ValueError is a fault, not a usage error
+        if "integer string conversion" not in str(exc):
+            raise
+        _PARSER.error("an integer to print has more than "
+                      f"{sys.get_int_max_str_digits()} digits, above the "
+                      "limit of int/str conversion")
     except BrokenPipeError:
         # the reader closed stdout early, as `| head` does; point the
         # descriptor at devnull so the interpreter's final flush is quiet

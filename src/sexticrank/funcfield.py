@@ -490,6 +490,10 @@ MAX_PARSE_BITS = 1 << 16
 #: deepest nesting of parentheses that the parser descends into; each
 #: level costs five stack frames, and certificate points need at most 3
 MAX_PARSE_DEPTH = 64
+#: most tokens the lexer reads from one text; every token can cost an
+#: operation on rational functions, and the certificate points of every
+#: pair with |A|, |B| <= 60 have at most 72
+MAX_PARSE_TOKENS = 4096
 
 
 def _check_degree(bound: int):
@@ -519,35 +523,40 @@ def _bits(p: Poly) -> int:
         for c in p.coeffs)
 
 
+def _lex(text: str) -> list:
+    """The tokens of text, refused before any arithmetic once there are
+    more than MAX_PARSE_TOKENS."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if not m or m.end() == pos:
+            if text[pos:].strip():
+                raise ValueError(f"bad character at {text[pos:]!r}")
+            break
+        if len(tokens) == MAX_PARSE_TOKENS:
+            raise ValueError(f"more than {MAX_PARSE_TOKENS} tokens, above "
+                             "the parser's limit")
+        if m.group(1):
+            tokens.append(("int", int(m.group(1))))
+        elif m.group(2):
+            tokens.append(("name", m.group(2)))
+        else:
+            tokens.append(("op", m.group(3)))
+        pos = m.end()
+    return tokens
+
+
 class _Parser:
     """Recursive descent over +, -, *, /, ^, parentheses, integers and
     one free variable, building over Q.  The grammar has no functions,
     so a name followed by "(", such as sqrt, is refused."""
 
-    def __init__(self, text: str, var: Optional[str]):
-        self.tokens = self._lex(text)
+    def __init__(self, tokens: list, var: Optional[str]):
+        self.tokens = tokens
         self.pos = 0
         self.var = var
         self.depth = 0
-
-    @staticmethod
-    def _lex(text: str):
-        tokens = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if not m or m.end() == pos:
-                if text[pos:].strip():
-                    raise ValueError(f"bad character at {text[pos:]!r}")
-                break
-            if m.group(1):
-                tokens.append(("int", int(m.group(1))))
-            elif m.group(2):
-                tokens.append(("name", m.group(2)))
-            else:
-                tokens.append(("op", m.group(3)))
-            pos = m.end()
-        return tokens
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
@@ -659,13 +668,7 @@ def parse_ratfunc(text: str, var: Optional[str] = None) -> RatFunc:
     The variable name is inferred from the first identifier unless
     pinned with ``var``.
     """
-    return _parse_with_var(text, var)[0]
-
-
-def _parse_with_var(text: str, var: Optional[str]):
-    """parse_ratfunc's result and the variable name read (None if none)."""
-    parser = _Parser(text, var)
-    return parser.parse(), parser.var
+    return _Parser(_lex(text), var).parse()
 
 
 def parse_point(text: str, var: Optional[str] = None):
@@ -678,14 +681,15 @@ def parse_point(text: str, var: Optional[str] = None):
         return None
     if not (s.startswith("(") and s.endswith(")")):
         raise ValueError(f"point must look like (x, y), got {text!r}")
-    body = s[1:-1]
+    body = _lex(s)[1:-1]
     depth = 0
-    for i, ch in enumerate(body):
-        if ch == "(":
+    for i, tok in enumerate(body):
+        if tok == ("op", "("):
             depth += 1
-        elif ch == ")":
+        elif tok == ("op", ")"):
             depth -= 1
-        elif ch == "," and depth == 0:
-            x, var = _parse_with_var(body[:i], var)
-            return x, parse_ratfunc(body[i + 1:], var)
+        elif tok == ("op", ",") and depth == 0:
+            parser = _Parser(body[:i], var)
+            x = parser.parse()
+            return x, _Parser(body[i + 1:], parser.var).parse()
     raise ValueError(f"no top-level comma in point {text!r}")

@@ -81,7 +81,6 @@ class GeneratorWitness:
     curve: FunctionFieldCurve
     point: CurvePoint
     used_descent: bool
-    construction: str
 
 
 #: how each criterion's point is built; a twisted one adds the descent
@@ -96,7 +95,7 @@ _CONSTRUCTIONS = {
 
 
 def construction_text(k: int, used_descent: bool) -> str:
-    """How criterion k's witness is built, as its certificate states it."""
+    """How criterion k's witness is built, as ``certify`` prints it."""
     if used_descent:
         return (_CONSTRUCTIONS[k]
                 + "; then Galois descent: omega-twist plus its conjugate")
@@ -136,8 +135,7 @@ def subfamily_generator(A, B, k: int) -> Optional[GeneratorWitness]:
     curve = FunctionFieldCurve.subfamily(A, B, k, 1)
     curve.require_on_curve(point)
     return GeneratorWitness(k=k, A=A, B=B, curve=curve, point=point,
-                            used_descent=twisted,
-                            construction=construction_text(k, twisted))
+                            used_descent=twisted)
 
 
 def _inverted_point(x: list, y: list, k: int) -> CurvePoint:
@@ -372,7 +370,6 @@ def full_certificate(A, B) -> RankCertificate:
 
 def certificate_to_json(cert: RankCertificate) -> dict:
     return {
-        "family": "y^2 = x^3 + A*t^6 + B over Q(t)",
         "A": str(cert.A),
         "B": str(cert.B),
         "rank": cert.rank,
@@ -380,9 +377,6 @@ def certificate_to_json(cert: RankCertificate) -> dict:
         "witnesses": [
             {
                 "k": w.k,
-                "subfamily": str(w.curve),
-                "construction": w.construction,
-                "used_descent": w.used_descent,
                 "subfamily_point": w.point.to_str("s"),
                 "embedded_point": emb.to_str("t"),
             }
@@ -432,12 +426,13 @@ def verify_certificate_json(data) -> VerificationReport:
     """Check a certificate from its serialized form alone.
 
     This is the only certificate checker: ``full_certificate`` takes its
-    checks from it too.  Every check is recomputed from the parsed
-    points; the stored check results are ignored.  A malformed field, a
-    stored rank, r, used_descent or construction that differs from the
-    recomputed one, and a point that does not parse each add one named
-    failed check, and only when they fail, so a certificate that
-    verifies gets exactly the check names stored in it.
+    checks from it too.  It reads A, B, rank, r, and each witness's k,
+    subfamily_point and embedded_point, and recomputes every check from
+    them; the stored check results and any other field prove nothing.  A
+    malformed field, a stored rank or r that differs from the recomputed
+    one, and a point that does not parse each add one named failed
+    check, and only when they fail, so a certificate that verifies gets
+    exactly the check names stored in it.
     """
     try:
         A = _rational_field(data, "A")
@@ -474,8 +469,6 @@ def verify_certificate_json(data) -> VerificationReport:
             emb = _parse_rational_point(_field(wd, "embedded_point", str))
             check(f"k={k}: point on subfamily curve", sub.contains(point))
             check(f"k={k}: point is nonzero", not point.is_infinity)
-            check(f"k={k}: point coordinates rational",
-                  not point.is_infinity and point.x.field is Fraction)
             on_sextic = E.contains(emb)
             check(f"k={k}: embedded point on sextic curve", on_sextic)
             check(f"k={k}: embedding consistent with base change",
@@ -488,16 +481,6 @@ def verify_certificate_json(data) -> VerificationReport:
                 check(f"k={k}: Shioda height {heights[-1]}", True)
             else:
                 check(f"k={k}: Shioda height", False)
-            # the stated construction must be the one criterion k's
-            # square kind calls for
-            descent = bd.reasons[k - 1].square_kind == "neg3_square"
-            if _field(wd, "used_descent", bool) != descent:
-                check(f"k={k}: stored used_descent matches recomputation",
-                      False)
-            if (_field(wd, "construction", str)
-                    != construction_text(k, descent)):
-                check(f"k={k}: stored construction matches recomputation",
-                      False)
         except (ValueError, TypeError, ZeroDivisionError) as exc:
             check(f"k={k}: parse/verify error: {exc}", False)
 

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -13,9 +14,11 @@ import pytest
 import sexticrank
 from sexticrank import cli, exactnum
 from sexticrank.cli import main
+from sexticrank.curve import CurvePoint
 from sexticrank.exactnum import MAX_LITERAL_DIGITS
-from sexticrank.generators import (certificate_to_json, construction_text,
-                                   full_certificate)
+from sexticrank.funcfield import parse_point
+from sexticrank.generators import (certificate_to_json, full_certificate,
+                                   verify_certificate_json)
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 
@@ -85,15 +88,27 @@ def test_rank_rejects_non_rational_literals(bad, capsys):
     assert capsys.readouterr().err
 
 
-# the last two ended in a traceback at the interpreter's 4,300-digit
-# int/str limit: 4AB of the rank pair has 4,805 digits, and certify of
-# the descent pair builds larger integers still
+#: a rank-1 pair within the digit cap: A = -3c^3/(4d^2) has 1,902 digits
+#: and B = -d^2/3 has 1,001, but the descended k = 4 witness's y has the
+#: coefficient 512d^9/(729c^6) of about 4,500 digits
+_C, _D = 10 ** 300 + 7, 3 * (10 ** 499 + 9)
+HUGE_POINT_PAIR = [str(Fraction(-3 * _C ** 3, 4 * _D ** 2)),
+                   str(Fraction(-_D ** 2, 3))]
+
+
+# the last four ended in a traceback at the interpreter's 4,300-digit
+# int/str limit: 4AB of the rank pair has 4,805 digits, certify of the
+# descent pair builds larger integers still, and the last pair's
+# literals pass the cap but its witness does not print
 @pytest.mark.parametrize("argv", [
     ["rank", "1" * (MAX_LITERAL_DIGITS + 1), "5"],
     ["rank", "1" * 2402, "2" * 2402],
     ["certify", str(-3 * (10 ** 600 + 7) ** 6), str((10 ** 600 + 9) ** 6)],
+    ["certify", *HUGE_POINT_PAIR],
+    ["oracle", *HUGE_POINT_PAIR, "--k", "4", "--format", "json"],
 ], ids=["one-digit-over-the-cap", "rank-2402-digits",
-        "certify-descent-3601-digits"])
+        "certify-descent-3601-digits", "certify-4500-digit-coefficient",
+        "oracle-4500-digit-coefficient"])
 def test_huge_literals_are_a_usage_error(argv, capsys):
     assert run_cli(argv) == 2
     assert "digits, above the limit" in capsys.readouterr().err
@@ -131,7 +146,22 @@ def test_certify_text_known_witness(capsys):
         "witness k=2: (-2*s, 3*s) on y^2 = x^3 + 8*s^3 + 9*s^2",
         "  construction: x = -cbrt(A)*s, y = sqrt(B)*s",
         "  embeds as (-2*t^2, 3)",
-        "checks passed: 10/10",
+        "checks passed: 9/9",
+        "re-verification from JSON: ok",
+    ]
+
+
+def test_certify_text_descent_witness(capsys):
+    assert run_cli(["certify", "-3", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out == [
+        "A = -3, B = 1: rank 1",
+        "witness k=3: (4*s^2 - s, 8*s^3 - 3*s^2) on y^2 = x^3 + -3*s^4 + s^3",
+        "  construction: parameter inversion of the k=2 point of the swapped "
+        "pair: x = -cbrt(B)*s, y = sqrt(A)*s^2; then Galois descent: "
+        "omega-twist plus its conjugate (Galois descent)",
+        "  embeds as (4*t^6 - 1, 8*t^9 - 3*t^3)",
+        "checks passed: 9/9",
         "re-verification from JSON: ok",
     ]
 
@@ -142,20 +172,15 @@ def test_certify_rank_zero_is_fine(capsys):
     assert "rank 0" in out and "checks passed: 3/3" in out
 
 
-def test_certify_json_matches_schema(capsys):
-    assert run_cli(["certify", "1", "16", "--format", "json"]) == 0
-    data = json.loads(capsys.readouterr().out)
-    jsonschema.validate(data, load_schema("certificate.schema.json"))
-    assert len(data["witnesses"]) == 3
-    assert all(c["passed"] for c in data["checks"])
-
-
 def test_certify_descent_case_json(capsys):
+    # the certificate stores the descended point, not how it was built
     assert run_cli(["certify", "-3", "1", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
-    jsonschema.validate(data, load_schema("certificate.schema.json"))
-    (w,) = data["witnesses"]
-    assert w["used_descent"] and "pre_descent_point" not in w
+    assert data["witnesses"] == [{
+        "k": 3,
+        "subfamily_point": "(4*s^2 - s, 8*s^3 - 3*s^2)",
+        "embedded_point": "(4*t^6 - 1, 8*t^9 - 3*t^3)",
+    }]
 
 
 def test_certify_requires_pair_without_verify(capsys):
@@ -347,14 +372,26 @@ def test_rank_unfactorable_class_is_null_with_reason(capsys):
 
 #: sha256 of the stdout of `certify A B --format json`
 PINNED_CERTIFICATE_SHA256 = {
-    (8, 9): "b0113fbd6c802a3737dcc1446894097ff9847f646502227096634c55fd073082",
-    (-3, 1): "64b62b8fe3e49cbece58cad0a6c9b7ad3409e6d29c4b7a2b50642b48e1c31abd",
-    (4, 4): "5098fa03e315522af104af4f67a92a8a8cac25898a5fa14c7aad1f2b94f42eb4",
-    (1, 16): "442a99af2b790e912fc56b727edf242e362c92161cf3466453d279e87a642821",
+    (8, 9): "c10a01f079daf19976c4fe9d9953992c96769152534ccec2b74e30f2ea66a97e",
+    (-3, 1): "0bc964c131967358a01c53724fd16efebb5c561b85463b709942720f0935f362",
+    (4, 4): "4e409bc978226ed609d7a2b3e38ea867934af606ca844824708cb0fbfa159e0b",
+    (1, 16): "a5ff1173b89a25218de4165a7f74f0a5604572f6574280d9f9655b3d29115a16",
     (-27, -432):
-        "b09b68a5d1327c498acdee78f59c44c7a844d2ccb43f542f5a5a0d9b2f707544",
-    (1, -27): "fe2ced19f1b203c4be26934d2feb21d888d2d0adcd9d8cec7350c4d4799ca85c",
+        "5697f72fc8bd77f03e0bc76e8578975a215e5cfe6e313bc1fbe68feb6886d593",
+    (1, -27): "a8a08c593fdb222c466a6e34b9e5b876de9c37cc4be61a754993fc60bbedaa08",
 }
+
+
+@pytest.mark.parametrize("A,B", [*PINNED_CERTIFICATE_SHA256, (2, 3)])
+def test_certify_json_matches_schema(A, B, capsys):
+    assert run_cli(["certify", str(A), str(B), "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    jsonschema.validate(data, load_schema("certificate.schema.json"))
+    assert list(data) == ["A", "B", "rank", "r", "witnesses", "checks"]
+    assert len(data["witnesses"]) == data["rank"]
+    for w in data["witnesses"]:
+        assert list(w) == ["k", "subfamily_point", "embedded_point"]
+    assert all(c["passed"] for c in data["checks"])
 
 
 @pytest.mark.parametrize("A,B", list(PINNED_CERTIFICATE_SHA256))
@@ -368,19 +405,19 @@ def test_certify_json_bytes_pinned(A, B, capsys):
 #: `--format json`, on the certificate that `certify A B --output FILE`
 #: writes
 PINNED_VERIFY_SHA256 = {
-    (8, 9): ("ce65eb15e5c3974c972625ab9fec53b3b64500f74547f96ab499c4e2b60bf8ed",
-             "230a1275e906807ae32adbdbd7dc7d7aafb991be7728a56c0937e0b21c1064ad"),
-    (-3, 1): ("9455345290db46415aaa4dd086d228a8830bab9ef4ecbbe8304d9467b31715b0",
-              "12c30361f42207497fe0e4b14e759f5da1ec82ad97f0379316d4e214e63482ca"),
-    (4, 4): ("28903880c213c17707b8bef7ee8618e9fbda3645c548151ef28bddd8d74ffc3b",
-             "472d5a683f140e01363ba074cdb8cea6848fa45fcf373d416f9d2d45ffa32e77"),
-    (1, 16): ("4b92b46aaa233640a93d463880ce39118027cc832a9f3e88187b9ca0e146af9b",
-              "bc4e240ea98d60f9a60f98bb909f2f194a42d78035c36683a90f5748d8e2b98d"),
+    (8, 9): ("e759864a91984cf87bae9c8e79eab117bfdfc38d4850d5670340ad2f4422db30",
+             "d176487811e5f41dbe217512c2f653f791b54b82fa5620cc92ab35dd0555b7b8"),
+    (-3, 1): ("dbdd87e3d636d4f3c0f2b5fc879f002a2c079f836419a03f38bba8829dde7bfc",
+              "ab589f92c0cffbd51bc9d85bc90d1d89a1f92cd279a6a8d57621a17d86b4c81f"),
+    (4, 4): ("1676b493e6dfe81eb0a02d039fb64ca78b55630e13377ce07f1f163aba8547c3",
+             "98e9b4e2ef2b271dff9e7ebccdd62fc53d9f99e9585996f418487ec33973e442"),
+    (1, 16): ("9ad6dead61dc95299f7db67e6e04bda9b91dc232802f441470c41e85acbffc9e",
+              "917be99e54f048b9cef27fdf29c800f20f0b110a30f18c75608a523c34e6eb20"),
     (-27, -432):
-        ("7e0c5bd155732ec1fd24ebff461b99ccf58c40ea94a63a1e0faef0853936726d",
-         "6b91489a6fa0fa5c6cd6fc89aee7c56b003fb074a71f87a5dcc31c2419756439"),
-    (1, -27): ("3da57dbfb1f853a99a40a30e4a661b9ec390c819d6ee74b46390e53a66950cf7",
-               "ebb74a38b22fee5dfacba13c960db61c9de263087b19922c7b29b13e3ad0ba67"),
+        ("655de5ff0c16eacbae7d1b9f6f9eda9042be328e2ae83f5d571bda023f503276",
+         "ce3ebad4823c5ba0348822146fdf82d2ffb566b806e27ff6d94d368ac84271f6"),
+    (1, -27): ("9468c6e15e65c35e0b76f2c730a02bca5c2bab4b4a6fe99dac13df0ffb53f4ca",
+               "1d958e12a5c6a74423242306e91f9f8c9df9c0283b2b29e720dc07a19c145f77"),
 }
 
 
@@ -583,45 +620,48 @@ def cert_neg3_1():
     return certificate_to_json(full_certificate(-3, 1))
 
 
-def _without_used_descent(data):
-    data = json.loads(json.dumps(data))
-    del data["witnesses"][0]["used_descent"]
-    return data
+def _negated_y(text, var):
+    """The point with y negated: still on the same curve and nonzero."""
+    x, y = parse_point(text, var)
+    return CurvePoint(x, -y).to_str(var)
 
 
-@pytest.mark.parametrize("mutate,named", [
-    (_with("used_descent", 0, witness=0), "field 'used_descent' is 0"),
-    (_with("used_descent", None, witness=0), "field 'used_descent' is None"),
-    (_with("used_descent", "no", witness=0), "field 'used_descent' is 'no'"),
-    (_with("used_descent", 1, witness=0), "field 'used_descent' is 1"),
-    (_without_used_descent, "no field 'used_descent'"),
-], ids=["zero", "null", "string", "one", "missing"])
-def test_verify_used_descent_must_be_a_boolean(mutate, named, cert_neg3_1,
-                                               tmp_path):
-    failures = verify_in_subprocess(tmp_path, mutate(cert_neg3_1))
-    assert len(failures) == 1, failures
-    assert failures[0].startswith("k=3: parse/verify error: ")
-    assert named in failures[0]
+def _stored_field_changes(data):
+    """(what, changed certificate) for each field the verifier reads."""
+    A, B = Fraction(data["A"]), Fraction(data["B"])
+    yield "A", _with("A", str(A + 1))(data)
+    yield "B", _with("B", str(B + 1))(data)
+    yield "rank", _with("rank", data["rank"] + 1)(data)
+    for i in range(4):
+        r = list(data["r"])
+        r[i] = 1 - r[i]
+        yield f"r[{i}]", _with("r", r)(data)
+    for i, w in enumerate(data["witnesses"]):
+        yield f"witness {i} k", _with("k", w["k"] % 4 + 1, witness=i)(data)
+        for key, var in (("subfamily_point", "s"), ("embedded_point", "t")):
+            yield (f"witness {i} {key}",
+                   _with(key, _negated_y(w[key], var), witness=i)(data))
 
 
-@pytest.mark.parametrize("pair,field,value,k", [
-    ((8, 9), "used_descent", True, 2),
-    ((8, 9), "construction", "anything", 2),
-    ((-3, 1), "used_descent", False, 3),
-    # the direct point's construction, a plausible false claim
-    ((-3, 1), "construction", construction_text(3, False), 3),
-], ids=["8-9-used-descent", "8-9-construction", "neg3-1-used-descent",
-        "neg3-1-construction"])
-def test_verify_stated_construction_must_match_the_criterion(
-        pair, field, value, k, capsys, tmp_path):
+@pytest.mark.parametrize("pair", [(1, 16), (-3, 1)], ids=["1-16", "neg3-1"])
+def test_verify_checks_every_stored_field(pair):
     data = certificate_to_json(full_certificate(*pair))
-    path = tmp_path / "cert.json"
-    path.write_text(json.dumps(_with(field, value, witness=0)(data)))
-    assert run_cli(["certify", "--verify", str(path)]) == 1
-    lines = capsys.readouterr().out.splitlines()
-    assert [line for line in lines if line.startswith("FAIL ")] == [
-        f"FAIL k={k}: stored {field} matches recomputation"]
-    assert lines[-1] == "certificate DOES NOT verify"
+    assert verify_certificate_json(data).ok
+    for what, changed in _stored_field_changes(data):
+        assert not verify_certificate_json(changed).ok, what
+
+
+@pytest.mark.parametrize("pair", [(1, 16), (-3, 1)], ids=["1-16", "neg3-1"])
+def test_verify_ignores_stored_results_and_other_fields(pair):
+    data = certificate_to_json(full_certificate(*pair))
+    report = verify_certificate_json(data)
+    for i, c in enumerate(data["checks"]):
+        flipped = json.loads(json.dumps(data))
+        flipped["checks"][i]["passed"] = not c["passed"]
+        assert verify_certificate_json(flipped) == report, c["name"]
+    extra = _with("family", "anything")(data)
+    extra["witnesses"][0]["used_descent"] = 0
+    assert verify_certificate_json(extra) == report
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -666,9 +706,13 @@ def test_commands_construct_no_quadext(monkeypatch, tmp_path, capsys):
     assert len(made) == 0
 
 
-# the last point's x would be an integer of 2^30 bits
-@pytest.mark.parametrize("point", ["((s+1)^100000, s + 8)", "(s^20000, s + 8)",
-                                   "(((((2^64)^64)^64)^64)^64, s + 8)"])
+# the third point's x would be an integer of 2^30 bits, and the last
+# one's 200 KB sum costs a rational function addition per token
+@pytest.mark.parametrize("point", [
+    "((s+1)^100000, s + 8)", "(s^20000, s + 8)",
+    "(((((2^64)^64)^64)^64)^64, s + 8)",
+    pytest.param("(" + "+".join(["s"] * 100_000) + ", 1)",
+                 id="sum-of-100000-terms")])
 def test_verify_huge_degree_point_ends_quickly(point, cert_1_16, tmp_path):
     failures = verify_in_subprocess(
         tmp_path, _with("subfamily_point", point, witness=0)(cert_1_16))

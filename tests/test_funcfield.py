@@ -8,6 +8,7 @@ from sexticrank.exactnum import OMEGA, QuadExt
 from sexticrank.funcfield import (
     MAX_PARSE_BITS,
     MAX_PARSE_DEGREE,
+    MAX_PARSE_TOKENS,
     Poly,
     RatFunc,
     lift_to_ext,
@@ -127,6 +128,21 @@ def test_parse_coefficient_size_cap():
         parse_ratfunc(text.format(c=2 ** k))
         with pytest.raises(ValueError, match="bits is above the parser's limit"):
             parse_ratfunc(text.format(c=2 ** (k + 1)))
+
+
+def test_parse_token_cap():
+    # m summands are 2m - 1 tokens: "-" and n summands are the cap, and
+    # "1+" one more; a point adds "(", ",", ")" and two tokens for y
+    n = MAX_PARSE_TOKENS // 2
+    terms = "+".join(["t"] * n)
+    assert parse_ratfunc("-" + terms) == RatFunc(Poly([0, n - 2]))
+    with pytest.raises(ValueError, match="tokens, above the parser's limit"):
+        parse_ratfunc("1+" + terms)
+    terms = "+".join(["t"] * (n - 2))
+    assert parse_point(f"({terms}, -1)") == (RatFunc(Poly([0, n - 2])),
+                                             RatFunc.constant(-1))
+    with pytest.raises(ValueError, match="tokens, above the parser's limit"):
+        parse_point(f"({terms}, 1-1)")
 
 
 # -- algebra -------------------------------------------------------------------
