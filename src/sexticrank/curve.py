@@ -1,9 +1,10 @@
-"""Elliptic curves y^2 = x^3 + C(t) over Q(t) and Q(sqrt(-3))(t).
+"""Elliptic curves y^2 = x^3 + C(t) over Q(t).
 
 Covers the sextic-twist family C = A*t^6 + B, its subfamilies
 C = s^k (A s^m + B), the chord-tangent group law, multiplication by
 omega, Galois conjugation over Q, and an exact Kodaira fiber analysis
 feeding the Shioda-Tate bound on the geometric Mordell-Weil rank.
+The group law also takes points with Q(sqrt(-3)) coefficients.
 """
 
 from __future__ import annotations
@@ -12,13 +13,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from .exactnum import OMEGA, QuadExt
+from .exactnum import OMEGA
 from .funcfield import (
     Poly,
     RatFunc,
     lift_to_ext,
     poly_gcd,
-    restrict_to_rational,
 )
 
 __all__ = [
@@ -50,8 +50,6 @@ class CurvePoint:
                 x = RatFunc(x)
             if isinstance(y, Poly):
                 y = RatFunc(y)
-            if x.field is not y.field:
-                raise TypeError("coordinates over different fields")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
@@ -145,10 +143,6 @@ class FunctionFieldCurve:
 
     # -- structure -----------------------------------------------------------
 
-    @property
-    def field(self):
-        return self.C.field
-
     def __eq__(self, other):
         if not isinstance(other, FunctionFieldCurve):
             return NotImplemented
@@ -164,26 +158,11 @@ class FunctionFieldCurve:
         v = self.var
         return f"y^2 = x^3 + {self.C.to_str(v)}"
 
-    def lift(self) -> "FunctionFieldCurve":
-        """The same curve viewed over Q(sqrt(-3))(t)."""
-        if self.field is QuadExt:
-            return self
-        return FunctionFieldCurve(lift_to_ext(self.C), var=self.var)
-
-    @staticmethod
-    def restrict_point(P: CurvePoint) -> CurvePoint:
-        """Rational form of a point; ValueError if truly irrational."""
-        if P.is_infinity or P.x.field is Fraction:
-            return P
-        return CurvePoint(restrict_to_rational(P.x), restrict_to_rational(P.y))
-
     # -- membership and the group law ------------------------------------------
 
     def contains(self, P: CurvePoint) -> bool:
         if P.is_infinity:
             return True
-        if P.x.field is not self.field:
-            return False
         # y^2 = x^3 + C with denominators cleared: Poly products only, no
         # gcd, so large coprime denominators cannot stall the test
         (xn, xd), (yn, yd), (cn, cd) = ((f.num, f.den) for f in (P.x, P.y, self.C))
@@ -223,8 +202,6 @@ class FunctionFieldCurve:
 
         Satisfies omega^2 + omega + 1 = 0, so P + omega(P) + omega^2(P) = O.
         """
-        if self.field is not QuadExt:
-            raise TypeError("omega_point lives over Q(sqrt(-3)); lift the curve first")
         if P.is_infinity:
             return P
         return CurvePoint(OMEGA * P.x, P.y)
@@ -235,8 +212,6 @@ class FunctionFieldCurve:
         Only meaningful when C itself has rational coefficients, which
         is checked.
         """
-        if self.field is not QuadExt:
-            raise TypeError("conjugation needs the curve over Q(sqrt(-3))")
         if _conj_ratfunc(self.C) != self.C:
             raise ValueError("curve is not defined over Q")
         if P.is_infinity:
@@ -267,7 +242,7 @@ class FunctionFieldCurve:
         c0 = self.C.evaluate(t0)
         if not c0:
             raise ValueError(f"fiber at {t0} is singular")
-        return FunctionFieldCurve(Poly.constant(c0, self.field), var=self.var)
+        return FunctionFieldCurve(Poly.constant(c0), var=self.var)
 
     def specialize_point(self, P: CurvePoint, t0) -> CurvePoint:
         """P evaluated at t = t0; ZeroDivisionError if a coordinate has
@@ -276,8 +251,7 @@ class FunctionFieldCurve:
             return P
         x0 = P.x.evaluate(t0)
         y0 = P.y.evaluate(t0)
-        return CurvePoint(RatFunc.constant(x0, self.field),
-                          RatFunc.constant(y0, self.field))
+        return CurvePoint(RatFunc.constant(x0), RatFunc.constant(y0))
 
     # -- fibers ---------------------------------------------------------------
 
@@ -332,14 +306,15 @@ class FunctionFieldCurve:
 
 
 def _conj_ratfunc(f: RatFunc) -> RatFunc:
+    f = lift_to_ext(f)
     conj = lambda c: c.conj()
-    return RatFunc(f.num.map_coeffs(conj, QuadExt), f.den.map_coeffs(conj, QuadExt))
+    return RatFunc(f.num.map_coeffs(conj), f.den.map_coeffs(conj))
 
 
 def _strip_zero_root(p: Poly, k0: int) -> Poly:
     if not k0:
         return p
-    return Poly(p.coeffs[k0:], p.field)
+    return Poly(p.coeffs[k0:])
 
 
 def _multiplicity_profile(p: Poly) -> dict:

@@ -1,13 +1,13 @@
-"""Univariate polynomials and rational functions over an exact field.
+"""Univariate polynomials and rational functions with exact coefficients.
 
-The coefficient field is passed as a class (``fractions.Fraction`` for
-Q, :class:`~sexticrank.exactnum.QuadExt` for Q(sqrt(-3))); it only
-needs exact ``+ - * /``, equality, and construction from small ints.
-The commands compute over Q; Q(sqrt(-3)) serves the group-law
-references that the tests compare the closed forms with.  On top sit a
-text form ("(3/2)*t^2 - 1") and a parser for it over Q, used by the
-certificate files so that a saved point can be re-read and re-checked
-from scratch.
+Each coefficient carries its own type: ``int`` becomes
+``fractions.Fraction``, and a :class:`~sexticrank.exactnum.QuadExt`
+(an element of Q(sqrt(-3))) stays as given, so the two mix in
+arithmetic as they do on their own.  The commands compute over Q;
+Q(sqrt(-3)) serves the group-law references that the tests compare the
+closed forms with.  On top sit a text form ("(3/2)*t^2 - 1") and a
+parser for it over Q, used by the certificate files so that a saved
+point can be re-read and re-checked from scratch.
 """
 
 from __future__ import annotations
@@ -29,40 +29,41 @@ __all__ = [
 ]
 
 
+def _scalar(c):
+    """c as a coefficient: an int as a Fraction, a Fraction or QuadExt
+    as given, anything else NotImplemented."""
+    if isinstance(c, (Fraction, QuadExt)):
+        return c
+    if isinstance(c, int):
+        return Fraction(c)
+    return NotImplemented
+
+
 class Poly:
     """Immutable dense polynomial; ``coeffs[i]`` is the t^i coefficient."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable, field=Fraction):
-        cs = [self._conv(c, field) for c in coeffs]
+    def __init__(self, coeffs: Iterable):
+        cs = [Fraction(c) if isinstance(c, int) else c for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
-        object.__setattr__(self, "field", field)
         object.__setattr__(self, "coeffs", tuple(cs))
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
-    @staticmethod
-    def _conv(c, field):
-        if isinstance(c, field):
-            return c
-        if isinstance(c, int) or (field is QuadExt and isinstance(c, Fraction)):
-            return field(c)
-        raise TypeError(f"cannot use {type(c).__name__} coefficient over {field.__name__}")
+    @classmethod
+    def constant(cls, c) -> "Poly":
+        return cls([c])
 
     @classmethod
-    def constant(cls, c, field=Fraction) -> "Poly":
-        return cls([c], field)
+    def variable(cls) -> "Poly":
+        return cls([0, 1])
 
     @classmethod
-    def variable(cls, field=Fraction) -> "Poly":
-        return cls([0, 1], field)
-
-    @classmethod
-    def monomial(cls, c, k: int, field=Fraction) -> "Poly":
-        return cls([0] * k + [c], field)
+    def monomial(cls, c, k: int) -> "Poly":
+        return cls([0] * k + [c])
 
     # -- structure ----------------------------------------------------------
 
@@ -82,7 +83,7 @@ class Poly:
     def __getitem__(self, k: int):
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return self.field(0)
+        return Fraction(0)
 
     def monomial_degree(self) -> Optional[int]:
         """k when self is c*t^k with c nonzero, otherwise None."""
@@ -101,31 +102,25 @@ class Poly:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _scalar(self, v):
-        try:
-            return self._conv(v, self.field)
-        except TypeError:
-            return None
-
     def __add__(self, other):
         if not isinstance(other, Poly):
-            s = self._scalar(other)
-            if s is None:
+            s = _scalar(other)
+            if s is NotImplemented:
                 return NotImplemented
-            other = Poly.constant(s, self.field)
+            other = Poly.constant(s)
         n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self[i] + other[i] for i in range(n)], self.field)
+        return Poly([self[i] + other[i] for i in range(n)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs], self.field)
+        return Poly([-c for c in self.coeffs])
 
     def __sub__(self, other):
         if isinstance(other, Poly):
             return self + (-other)
-        s = self._scalar(other)
-        if s is None:
+        s = _scalar(other)
+        if s is NotImplemented:
             return NotImplemented
         return self + (-s)
 
@@ -134,36 +129,36 @@ class Poly:
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
-            s = self._scalar(other)
-            if s is None:
+            s = _scalar(other)
+            if s is NotImplemented:
                 return NotImplemented
-            return Poly([c * s for c in self.coeffs], self.field)
+            return Poly([c * s for c in self.coeffs])
         if self.is_zero() or other.is_zero():
-            return Poly([], self.field)
-        out = [self.field(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+            return Poly([])
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
                     out[i + j] = out[i + j] + a * b
-        return Poly(out, self.field)
+        return Poly(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        return square_and_multiply(Poly.constant(1, self.field), self, n)
+        return square_and_multiply(Poly.constant(1), self, n)
 
     def __divmod__(self, other: "Poly"):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q = Poly([], self.field)
+        q = Poly([])
         r = self
-        inv_lead = self.field(1) / other.leading()
+        inv_lead = Fraction(1) / other.leading()
         while not r.is_zero() and r.degree >= other.degree:
             k = r.degree - other.degree
             c = r.leading() * inv_lead
-            term = Poly.monomial(c, k, self.field)
+            term = Poly.monomial(c, k)
             q = q + term
             r = r - term * other
         return q, r
@@ -177,40 +172,40 @@ class Poly:
     # -- evaluation and substitution -----------------------------------------
 
     def evaluate(self, v):
-        """Horner evaluation; v may live in any ring containing the field."""
+        """Horner evaluation; v may live in any ring containing the coefficients."""
         if not self.coeffs:
-            return self.field(0)
+            return Fraction(0)
         acc = self.coeffs[-1]
         for c in reversed(self.coeffs[:-1]):
             acc = acc * v + c
         return acc
 
     def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:], self.field)
+        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
-        return self * (self.field(1) / self.leading())
+        return self * (Fraction(1) / self.leading())
 
-    def map_coeffs(self, fn, field=None) -> "Poly":
-        return Poly([fn(c) for c in self.coeffs], field or self.field)
+    def map_coeffs(self, fn) -> "Poly":
+        return Poly([fn(c) for c in self.coeffs])
 
     # -- plumbing --------------------------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return self.field is other.field and self.coeffs == other.coeffs
-        s = self._scalar(other)
-        if s is None:
+            return self.coeffs == other.coeffs
+        s = _scalar(other)
+        if s is NotImplemented:
             return NotImplemented
-        return self == Poly.constant(s, self.field)
+        return self == Poly.constant(s)
 
     def __bool__(self):
         return bool(self.coeffs)
 
     def __hash__(self):
-        return hash((self.field.__name__, self.coeffs))
+        return hash(self.coeffs)
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
@@ -260,7 +255,7 @@ def _varpow(var: str, k: int) -> str:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor over the coefficient field."""
+    """Monic greatest common divisor over the coefficients' field."""
     while not b.is_zero():
         a, b = b, a % b
     return a.monic() if not a.is_zero() else a
@@ -279,26 +274,24 @@ class RatFunc:
 
     def __init__(self, num: Poly, den: Optional[Poly] = None):
         if den is None:
-            den = Poly.constant(1, num.field)
+            den = Poly.constant(1)
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
-        if num.field is not den.field:
-            raise TypeError("numerator and denominator over different fields")
         if den.monomial_degree() is not None:
             # den = c*t^k: the gcd is a power of t, cancelled by slicing
             m = den.degree
             if num:
                 m = min(m, num.root_multiplicity_at_zero())
             if m:
-                num = Poly(num.coeffs[m:], num.field)
-                den = Poly(den.coeffs[m:], den.field)
+                num = Poly(num.coeffs[m:])
+                den = Poly(den.coeffs[m:])
         else:
             g = poly_gcd(num, den)
             if g.degree > 0:
                 num, den = num // g, den // g
         lead = den.leading()
-        if lead != den.field(1):
-            inv = den.field(1) / lead
+        if lead != 1:
+            inv = Fraction(1) / lead
             num, den = num * inv, den * inv
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
@@ -307,16 +300,12 @@ class RatFunc:
         raise AttributeError("RatFunc is immutable")
 
     @classmethod
-    def constant(cls, c, field=Fraction) -> "RatFunc":
-        return cls(Poly.constant(c, field))
+    def constant(cls, c) -> "RatFunc":
+        return cls(Poly.constant(c))
 
     @classmethod
-    def variable(cls, field=Fraction) -> "RatFunc":
-        return cls(Poly.variable(field))
-
-    @property
-    def field(self):
-        return self.num.field
+    def variable(cls) -> "RatFunc":
+        return cls(Poly.variable())
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -331,11 +320,10 @@ class RatFunc:
             return other
         if isinstance(other, Poly):
             return RatFunc(other)
-        try:
-            c = Poly._conv(other, self.field)
-        except TypeError:
+        c = _scalar(other)
+        if c is NotImplemented:
             return None
-        return RatFunc.constant(c, self.field)
+        return RatFunc.constant(c)
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -384,7 +372,7 @@ class RatFunc:
             if self.is_zero():
                 raise ZeroDivisionError("negative power of zero")
             return RatFunc(self.den, self.num) ** (-n)
-        return square_and_multiply(RatFunc.constant(1, self.field), self, n)
+        return square_and_multiply(RatFunc.constant(1), self, n)
 
     # -- evaluation and substitution -------------------------------------------
 
@@ -401,26 +389,26 @@ class RatFunc:
 
         The t^i coefficient is scaled by c^i and moved to t^(d*i); for
         d < 0 the powers of t move into the denominator.  Any other
-        inner raises ValueError.  The result is over inner's field.
+        inner raises ValueError.
         """
         a, b = inner.num.monomial_degree(), inner.den.monomial_degree()
         if a is None or b is None or a == b:
             raise ValueError(
                 f"can only substitute c*t^d with d != 0, not {inner}")
-        c, d, field = inner.num.leading(), a - b, inner.field
+        c, d = inner.num.leading(), a - b
 
         def spread(p: Poly):
             """(q, k) with p(c*t^d) = q * t^k and q a polynomial."""
             k = min(0, d * p.degree)
-            out = [field(0)] * (abs(d) * p.degree + 1)
-            ci = field(1)
+            out = [Fraction(0)] * (abs(d) * p.degree + 1)
+            ci = Fraction(1)
             for i, coeff in enumerate(p.coeffs):
                 out[d * i - k] = coeff * ci
                 ci = ci * c
-            return Poly(out, field), k
+            return Poly(out), k
 
         (num, kn), (den, kd) = spread(self.num), spread(self.den)
-        shift = Poly.monomial(1, abs(kn - kd), field)
+        shift = Poly.monomial(1, abs(kn - kd))
         return RatFunc(num * shift, den) if kn > kd else RatFunc(num, den * shift)
 
     # -- plumbing ----------------------------------------------------------------
@@ -454,25 +442,22 @@ class RatFunc:
 
 
 def lift_to_ext(f: RatFunc) -> RatFunc:
-    """View a rational-coefficient function over Q(sqrt(-3))."""
-    if f.field is QuadExt:
-        return f
-    return RatFunc(f.num.map_coeffs(QuadExt, QuadExt),
-                   f.den.map_coeffs(QuadExt, QuadExt))
+    """f with every coefficient a QuadExt."""
+    up = lambda c: c if isinstance(c, QuadExt) else QuadExt(c)
+    return RatFunc(f.num.map_coeffs(up), f.den.map_coeffs(up))
 
 
 def restrict_to_rational(f: RatFunc) -> RatFunc:
-    """Inverse of lift_to_ext; raises ValueError off the rational locus."""
-    if f.field is Fraction:
-        return f
+    """f with every coefficient a Fraction; ValueError if one is irrational."""
 
-    def down(c: QuadExt) -> Fraction:
+    def down(c) -> Fraction:
+        if isinstance(c, Fraction):
+            return c
         if not c.is_rational():
             raise ValueError(f"coefficient {c} is not rational")
         return c.a
 
-    return RatFunc(f.num.map_coeffs(down, Fraction),
-                   f.den.map_coeffs(down, Fraction))
+    return RatFunc(f.num.map_coeffs(down), f.den.map_coeffs(down))
 
 
 # ---------------------------------------------------------------------------

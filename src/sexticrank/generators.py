@@ -43,7 +43,7 @@ from .exactnum import (
     is_square_or_neg3_square,
     parse_rational,
 )
-from .funcfield import Poly, RatFunc, parse_point
+from .funcfield import Poly, RatFunc, parse_point, restrict_to_rational
 from .rankalg import CRITERIA, RankBreakdown, criterion_values, rank_breakdown
 
 __all__ = [
@@ -184,21 +184,21 @@ def descended_point(k: int, c, d) -> tuple:
 
 def galois_descent_combine(curve: FunctionFieldCurve, P: CurvePoint) -> CurvePoint:
     """Rational point omega(P) + conj(omega(P)) from a twisted one,
-    through the group law over Q(sqrt(-3)); ``descended_point`` is its
-    closed form.
+    through the group law, with P's coefficients in Q(sqrt(-3));
+    ``descended_point`` is its closed form.
 
     For the construction points the plain trace P + conj(P) vanishes
     identically (x is rational, y purely imaginary), but the
     omega-twist moves P off its own conjugate's inverse and the sum
     lands in E(Q(s)).
     """
-    ext = curve.lift()
-    ext.require_on_curve(P)
-    tw = ext.omega_point(P)
-    combined = ext.add(tw, ext.galois_conj_point(tw))
+    curve.require_on_curve(P)
+    tw = curve.omega_point(P)
+    combined = curve.add(tw, curve.galois_conj_point(tw))
     if combined.is_infinity:
         raise ArithmeticError("descent degenerated to the zero point")
-    rational = FunctionFieldCurve.restrict_point(combined)
+    rational = CurvePoint(restrict_to_rational(combined.x),
+                          restrict_to_rational(combined.y))
     curve.require_on_curve(rational)
     return rational
 
@@ -233,12 +233,11 @@ def base_change_embed(P: CurvePoint, source, target) -> CurvePoint:
     d, e = _base_change_exponents(source, target)
     if P.is_infinity:
         return P
-    field = P.x.field
-    inner = RatFunc(Poly.monomial(field(1), d, field))
+    inner = RatFunc(Poly.monomial(1, d))
     x = P.x.substitute(inner)
     y = P.y.substitute(inner)
     if e:
-        u = RatFunc(Poly.variable(field))
+        u = RatFunc.variable()
         x = x / u ** (2 * e)
         y = y / u ** (3 * e)
     return CurvePoint(x, y)

@@ -415,10 +415,19 @@ def census_rows(bound: int, jobs: int = 1) -> Iterator[str]:
     # read off the module, so that __getattr__ imports it on first use
     # and a stand-in set on the module is the one used
     with sys.modules[__name__].multiprocessing.Pool(workers) as pool:
+        results = pool.imap(task, gated(), chunk)
         try:
-            for rows in pool.imap(task, gated(), chunk):
+            for rows in results:
                 yield from rows
                 permits.release()
+        except GeneratorExit:
+            # the reader has gone: collect what the workers hold, so that
+            # terminate kills none holding the result queue's lock
+            closing = True
+            permits.release(window)
+            for _ in results:
+                pass
+            raise
         finally:
             # Pool.terminate joins imap's task thread, which must not be
             # left waiting for a permit

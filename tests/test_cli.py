@@ -308,7 +308,10 @@ def test_census_bound_above_the_cap_is_refused(capsys):
     assert out == "" and "--bound is above the limit" in err
 
 
-@pytest.mark.parametrize("jobs", ["1", "2"])
+@pytest.mark.parametrize("jobs", ["1", "2"] + [
+    # a pooled census once stalled on shutdown in about one run in
+    # fifteen, so the pooled case runs eight times
+    pytest.param("2", id=f"2-repeat{i}") for i in range(1, 8)])
 def test_census_into_a_closed_pipe_exits_1_without_traceback(jobs):
     with subprocess.Popen(
             [sys.executable, "-m", "sexticrank.cli", "census", "--bound",
