@@ -489,7 +489,7 @@ def verify_certificate_json(data) -> VerificationReport:
     # regulator is the product of their heights
     distinct = "witness eigenspace indices pairwise distinct"
     if len(heights) == len(witnesses):
-        distinct += f", so the regulator is {prod(heights)}"
+        distinct += f", so the witnesses' regulator is {prod(heights)}"
     check(distinct, len(set(ks)) == len(ks))
     check("witness count equals computed rank", len(witnesses) == bd.rank)
     return VerificationReport(tuple(checks))

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import os
 import sys
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -298,9 +297,6 @@ MAX_CENSUS_BOUND = 10_000
 #: bound 1,280 on (2,518 values) a message holds one A, so memory stays flat.
 PAIRS_PER_MESSAGE = 5_000
 
-#: messages a pooled census lets each worker hold: one at work, one queued
-MESSAGES_PER_WORKER = 2
-
 
 def sixth_power_free_values(bound: int) -> list:
     """All sixth-power-free integers v with 1 <= |v| <= bound, ascending."""
@@ -389,7 +385,9 @@ def census_rows(bound: int, jobs: int = 1) -> Iterator[str]:
     E_{A,B} is isomorphic over Q(t) to one with such coefficients.  Each
     row carries the root route's criteria and rank and the class route's
     case.  Each A is one task, run here or on min(jobs, CPU count)
-    processes.  Above MAX_CENSUS_BOUND it raises ValueError before any row.
+    processes; a pool works through windows of workers x chunk values,
+    at most two of them in flight.  Above MAX_CENSUS_BOUND it raises
+    ValueError before any row.
     """
     values = sixth_power_free_values(bound)
     yield CENSUS_TSV_HEADER
@@ -399,40 +397,28 @@ def census_rows(bound: int, jobs: int = 1) -> Iterator[str]:
         yield from chain.from_iterable(map(task, values))
         return
     chunk = max(1, PAIRS_PER_MESSAGE // len(values))
-    # imap draws a value only under a permit, which comes back once that
-    # value's rows are yielded: a consumer that stalls stalls the workers
-    window = MESSAGES_PER_WORKER * workers * chunk
-    permits = threading.Semaphore(window)
-    closing = False
-
-    def gated():
-        for A in values:
-            permits.acquire()
-            if closing:
-                return
-            yield A
-
+    window = workers * chunk
+    # one window at work and the next queued: a reader that stalls
+    # stalls the workers once both are done
+    windows = []
     # read off the module, so that __getattr__ imports it on first use
     # and a stand-in set on the module is the one used
     with sys.modules[__name__].multiprocessing.Pool(workers) as pool:
-        results = pool.imap(task, gated(), chunk)
         try:
-            for rows in results:
-                yield from rows
-                permits.release()
-        except GeneratorExit:
-            # the reader has gone: collect what the workers hold, so that
-            # terminate kills none holding the result queue's lock
-            closing = True
-            permits.release(window)
-            for _ in results:
-                pass
-            raise
+            for start in range(0, len(values), window):
+                windows.append(pool.imap(task, values[start:start + window],
+                                         chunk))
+                if len(windows) == 2:
+                    yield from chain.from_iterable(windows[0])
+                    windows.pop(0)
+            for results in windows:
+                yield from chain.from_iterable(results)
         finally:
-            # Pool.terminate joins imap's task thread, which must not be
-            # left waiting for a permit
-            closing = True
-            permits.release(window)
+            # the reader may have gone: collect what the workers hold, so
+            # that terminate kills none holding the result queue's lock
+            for results in windows:
+                for _ in results:
+                    pass
 
 
 def __getattr__(name):

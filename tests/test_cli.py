@@ -149,6 +149,11 @@ def test_certify_text_known_witness(capsys):
         "checks passed: 9/9",
         "re-verification from JSON: ok",
     ]
+    # README shows the same run, one "# " line per output line
+    readme = (DOCS.parent / "README.md").read_text().splitlines()
+    start = readme.index("    sexticrank certify 8 9") + 1
+    shown = readme[start:start + len(out) + 1]
+    assert shown == [f"    # {line}" for line in out] + [""]
 
 
 def test_certify_text_descent_witness(capsys):
@@ -375,13 +380,13 @@ def test_rank_unfactorable_class_is_null_with_reason(capsys):
 
 #: sha256 of the stdout of `certify A B --format json`
 PINNED_CERTIFICATE_SHA256 = {
-    (8, 9): "c10a01f079daf19976c4fe9d9953992c96769152534ccec2b74e30f2ea66a97e",
-    (-3, 1): "0bc964c131967358a01c53724fd16efebb5c561b85463b709942720f0935f362",
-    (4, 4): "4e409bc978226ed609d7a2b3e38ea867934af606ca844824708cb0fbfa159e0b",
-    (1, 16): "a5ff1173b89a25218de4165a7f74f0a5604572f6574280d9f9655b3d29115a16",
+    (8, 9): "1b581e1231452125b7d364c5b905e9cc4eebe4b8b509084b017c9103271c1e97",
+    (-3, 1): "b3bf89224dde984c5a3987fef8906da2692afbacd41b8baa113e61b148e1406a",
+    (4, 4): "e6f646957ae71f1708f215d8248259e6828dcb70b6cf27ce266673ea7039d396",
+    (1, 16): "3ff235f2c1cdabe35880d2e29239c68732210be58505a52bfea589ebdad1b389",
     (-27, -432):
-        "5697f72fc8bd77f03e0bc76e8578975a215e5cfe6e313bc1fbe68feb6886d593",
-    (1, -27): "a8a08c593fdb222c466a6e34b9e5b876de9c37cc4be61a754993fc60bbedaa08",
+        "063768351617f31caace46b64540b33d5c21896e9dc862536ef7ed5c445afcdb",
+    (1, -27): "20f72e97a7f131d9f9801e26f64d6cdbe7bd7ae6f01573c13177e4c6403ce1a5",
 }
 
 
@@ -408,19 +413,19 @@ def test_certify_json_bytes_pinned(A, B, capsys):
 #: `--format json`, on the certificate that `certify A B --output FILE`
 #: writes
 PINNED_VERIFY_SHA256 = {
-    (8, 9): ("e759864a91984cf87bae9c8e79eab117bfdfc38d4850d5670340ad2f4422db30",
-             "d176487811e5f41dbe217512c2f653f791b54b82fa5620cc92ab35dd0555b7b8"),
-    (-3, 1): ("dbdd87e3d636d4f3c0f2b5fc879f002a2c079f836419a03f38bba8829dde7bfc",
-              "ab589f92c0cffbd51bc9d85bc90d1d89a1f92cd279a6a8d57621a17d86b4c81f"),
-    (4, 4): ("1676b493e6dfe81eb0a02d039fb64ca78b55630e13377ce07f1f163aba8547c3",
-             "98e9b4e2ef2b271dff9e7ebccdd62fc53d9f99e9585996f418487ec33973e442"),
-    (1, 16): ("9ad6dead61dc95299f7db67e6e04bda9b91dc232802f441470c41e85acbffc9e",
-              "917be99e54f048b9cef27fdf29c800f20f0b110a30f18c75608a523c34e6eb20"),
+    (8, 9): ("85ffa2f0e452b49986bc3ef892287d107bf7127de42db71d45cc7a99fbd28a5e",
+             "054610288c481205c00d457764108de105f71ee81eac252d187d80565895a918"),
+    (-3, 1): ("c8b1e3aaeefaf96fc1c056ab69ab6f8494e8660e932f387ee3e8724342f154dd",
+              "48f734df7c3c8f2d590b793e38697e4240276ddb2d87d3412a1f8c702e84bb21"),
+    (4, 4): ("d88cb2b17620bf12020677f55b15e8485f12e22c0a230bbb9dbaf58af54999af",
+             "8a2ba9294008524138b579b8f308078c6db8a4a8aeae2b36e3e5f4f44e27a7e5"),
+    (1, 16): ("acc5ce92fa5533353692198d794cb50c4ca8bb3f8a98472d89fdc10ad8f7d30c",
+              "b37d5a009dd1965b1562b091e134ab5a455d6ce7a760e6d195791bf45cf76af4"),
     (-27, -432):
-        ("655de5ff0c16eacbae7d1b9f6f9eda9042be328e2ae83f5d571bda023f503276",
-         "ce3ebad4823c5ba0348822146fdf82d2ffb566b806e27ff6d94d368ac84271f6"),
-    (1, -27): ("9468c6e15e65c35e0b76f2c730a02bca5c2bab4b4a6fe99dac13df0ffb53f4ca",
-               "1d958e12a5c6a74423242306e91f9f8c9df9c0283b2b29e720dc07a19c145f77"),
+        ("e438b1fcd309fa3b6621630815268947caf7eb08f5bb1e96302622f7f21f96be",
+         "9d7716b16df5ad66c777429c345e3555bf78fcb3981265cbb57de4a195fb8bb4"),
+    (1, -27): ("1b5f3a86d1eab9bf2ad7aac51432ace02621f119140ef0c43e45a552e1c19dcf",
+               "51043d39c5bd3cb6244eedd4ba180af7b2a44e9139939c828d0fb9e07c9e43f6"),
 }
 
 

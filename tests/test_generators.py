@@ -358,8 +358,8 @@ def test_heights_match_the_group_law(A, B):
                if "Shioda height" in name]
     heights = WITNESS_HEIGHTS[(A, B)]
     assert printed == heights
-    assert ("witness eigenspace indices pairwise distinct, so the regulator "
-            f"is {math.prod(heights)}") in names
+    assert ("witness eigenspace indices pairwise distinct, so the "
+            f"witnesses' regulator is {math.prod(heights)}") in names
     E = FunctionFieldCurve.sextic(A, B)
     pts = cert.embedded
     # <P, Q> = (h(P + Q) - h(P) - h(Q)) / 2, the sum through the group law;
@@ -369,6 +369,24 @@ def test_heights_match_the_group_law(A, B):
     assert gram == [[h if i == j else 0 for j in range(len(pts))]
                     for i, h in enumerate(heights)]
     assert all(multiples_nonzero(E, P, 6) for P in pts)
+
+
+@pytest.mark.parametrize("A,B,half,regulator", [
+    (4, 4, ("2*t", "2*t^3 + 2"), 16),
+    (1, 16, ("2*t", "t^3 + 4"), 32),
+])
+def test_witnesses_can_span_a_subgroup_of_index_2(A, B, half, regulator):
+    # 2P = -(W1 + W4): the witnesses have index >= 2 in E(Q(t)), so R is
+    # their regulator, and E(Q(t))'s is at most R/4
+    cert = full_certificate(A, B)
+    E = FunctionFieldCurve.sextic(A, B)
+    P = CurvePoint(parse_ratfunc(half[0]), parse_ratfunc(half[1]))
+    assert E.contains(P)
+    W = dict(zip((w.k for w in cert.witnesses), cert.embedded))
+    assert E.add(P, P) == E.negate(E.add(W[1], W[4]))
+    assert ("witness eigenspace indices pairwise distinct, so the "
+            f"witnesses' regulator is {regulator}") in [
+                c.name for c in cert.checks]
 
 
 def test_certificates_never_use_the_group_law(monkeypatch):

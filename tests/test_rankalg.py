@@ -3,7 +3,7 @@ import multiprocessing.pool
 import threading
 import time
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from types import SimpleNamespace
 
 import pytest
@@ -226,22 +226,29 @@ def test_census_workers_capped_at_cpu_count(monkeypatch):
 
     monkeypatch.setattr(rankalg, "multiprocessing",
                         SimpleNamespace(Pool=RecordingPool))
-    serial = list(census_rows(8, jobs=1))
-    monkeypatch.setattr(rankalg.os, "cpu_count", lambda: 3)
-    assert list(census_rows(8, jobs=10 ** 6)) == serial
-    assert list(census_rows(8, jobs=2)) == serial
-    monkeypatch.setattr(rankalg.os, "cpu_count", lambda: None)
-    assert list(census_rows(8, jobs=10 ** 6)) == serial
-    assert sizes == [3, 2]
-    # one task per value A, whose result is A's row against every value
-    values = sixth_power_free_values(8)
-    assert len(tasks) == 2
-    for fn, items in tasks:
-        assert items == values
-        for A in items:
-            rows = fn(A)
-            assert len(rows) == len(values)
-            assert all(row.startswith(f"{A}\t") for row in rows)
+    # bound 8 fits in one window; bound 300 has 592 values, so windows of
+    # 16 values at 2 workers and 24 at 3
+    for bound in (8, 300):
+        serial = list(census_rows(bound, jobs=1))
+        values = sixth_power_free_values(bound)
+        chunk = max(1, rankalg.PAIRS_PER_MESSAGE // len(values))
+        for cpus, jobs, workers in ((3, 10 ** 6, 3), (3, 2, 2),
+                                    (None, 10 ** 6, 1)):
+            monkeypatch.setattr(rankalg.os, "cpu_count", lambda: cpus)
+            del sizes[:], tasks[:]
+            assert list(census_rows(bound, jobs=jobs)) == serial
+            assert sizes == ([workers] if workers > 1 else [])
+            if workers == 1:
+                continue
+            # one task per value A, whose result is A's row against every
+            # value; each imap call draws at most one window, in order
+            assert all(len(items) <= workers * chunk for _, items in tasks)
+            assert list(chain.from_iterable(i for _, i in tasks)) == values
+            for fn, items in tasks:
+                for A in items:
+                    rows = fn(A)
+                    assert len(rows) == len(values)
+                    assert all(row.startswith(f"{A}\t") for row in rows)
 
 
 def test_census_rows_full_route_equivalence():
@@ -382,9 +389,9 @@ def test_pooled_census_draws_values_as_its_rows_are_read(monkeypatch):
     assert next(rows) == CENSUS_TSV_HEADER
     assert next(rows).startswith("-300\t-300\t")
     time.sleep(1)
-    # the reader holds one A; each worker has one message at work and one
-    # queued, and nothing more is drawn until the reader goes on
-    assert len(drawn) == rankalg.MESSAGES_PER_WORKER * 2 * chunk < len(values)
+    # the reader holds one A: two windows of 2 x chunk values are in
+    # flight, and nothing more is drawn until the reader goes on
+    assert len(drawn) == 2 * 2 * chunk < len(values)
     closer = threading.Thread(target=rows.close, daemon=True)
     closer.start()
     closer.join(timeout=30)
