@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import os
 import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -287,14 +288,16 @@ def classify(A, B) -> Classification:
 # census: both routes on every canonical pair
 # ---------------------------------------------------------------------------
 
-#: largest census bound: 3.9e8 pairs, about 18 min on one process at the
-#: 370,000 pairs/s measured over the first 2 million rows of bound 10^4
-#: (2-core machine, CPython 3.11), and 17 MB of per-value tables per
-#: process; bound 10^5 would take about 30 hours and 170 MB.
+#: largest census bound: 3.9e8 pairs, about 2-3 min on one process at the
+#: 2.3-3.4 million pairs/s measured over the first 2 million rows of bound
+#: 10^4 (`census` into a pipe, 2-core machine, CPython 3.11), and 19 MB of
+#: per-value tables per process; bound 10^5 would take about 4 hours and
+#: 190 MB.
 MAX_CENSUS_BOUND = 10_000
 
-#: pairs per pooled-census message, each costing about 0.5 ms (2 cores); from
-#: bound 1,280 on (2,518 values) a message holds one A, so memory stays flat.
+#: pairs per pooled-census message: 5,000 rows take about 0.8 ms to build
+#: and 0.65 ms to pickle and unpickle (2 cores); from bound 1,280 on (2,518
+#: values) a message holds one A, so memory stays flat.
 PAIRS_PER_MESSAGE = 5_000
 
 
@@ -317,64 +320,119 @@ def sixth_power_free_values(bound: int) -> list:
 CENSUS_TSV_HEADER = "A\tB\tA_class\tB_class\tr1\tr2\tr3\tr4\trank\tclassify_case"
 
 
+class _ValueTables(NamedTuple):
+    """What the census states once per bound and process.  A value's
+    group is its root bits (cube, squarish) and its four class bits (in
+    CUBE_AND_SQUARISH, in QUADRUPLE_CUBE_SQUARISH, cube, squarish)."""
+
+    values: list  # ascending
+    facts: dict  # value -> ClassFacts
+    position: dict  # value -> its index in values
+    texts: list  # f"{value}\t", by position
+    groups: list  # group id, by position
+    root_bits: list  # by group id: (cube, squarish)
+    members: list  # by group id: its values, ascending
+    by_mod3: dict  # ClassFacts.mod3 -> the values with it, ascending
+    cubes_4ab: list  # the cubes that 4AB can be, ascending
+
+
 @lru_cache(maxsize=1)
-def _value_tables(bound: int) -> tuple:
-    """The values up to bound with each one's class facts, cube test and
-    square test, and the cubes that 4AB can be; kept for the last bound,
-    so a process builds them once per census."""
+def _value_tables(bound: int) -> _ValueTables:
+    """The census's per-value tables; kept for the last bound, so a
+    process builds them once per census."""
     values = sixth_power_free_values(bound)
     facts = {v: class_facts(sixth_power_class(v)) for v in values}
-    cubes = {v: is_kth_power(v, 3) is not None for v in values}
-    squarish = {v: is_square_or_neg3_square(v).kind != "neither"
-                for v in values}
-    # |4AB| <= 4 bound^2: a table of cubes, no factoring
+    ids, groups, members, by_mod3 = {}, [], [], {}
+    for v in values:
+        f = facts[v]
+        kind = (is_kth_power(v, 3) is not None,
+                is_square_or_neg3_square(v).kind != "neither",
+                v in CUBE_AND_SQUARISH, v in QUADRUPLE_CUBE_SQUARISH,
+                f.cube, f.squarish)
+        if kind not in ids:
+            ids[kind] = len(ids)
+            members.append([])
+        groups.append(ids[kind])
+        members[ids[kind]].append(v)
+        by_mod3.setdefault(f.mod3, []).append(v)
+    # |4AB| <= 4 bound^2: a list of cubes, no factoring
     top = _iroot(4 * bound * bound, 3)
-    cubes_4ab = frozenset(c ** 3 for c in range(-top, top + 1))
-    return values, facts, cubes, squarish, cubes_4ab
+    return _ValueTables(
+        values=values, facts=facts,
+        position={v: i for i, v in enumerate(values)},
+        texts=[f"{v}\t" for v in values], groups=groups,
+        root_bits=[kind[:2] for kind in ids], members=members,
+        by_mod3=by_mod3,
+        cubes_4ab=[c ** 3 for c in range(-top, top + 1)])
+
+
+@lru_cache(maxsize=4)
+def _root_fields(cube_a: bool, squarish_a: bool) -> tuple:
+    """The root route's fields r1..r4 and rank of a pair whose A has
+    these tests, indexed by the bits (4AB a cube, B a cube, B squarish)
+    as an int, read off ``CRITERIA``."""
+    texts = []
+    for key in range(8):
+        cube = {"4AB": key & 4, "A": cube_a, "B": key & 2}
+        square = {"A": squarish_a, "B": key & 1}
+        r = [int(bool(cube[x] and square[y])) for x, y in CRITERIA.values()]
+        texts.append("\t".join(map(str, r + [sum(r)])))
+    return tuple(texts)
 
 
 def _census_rows_of(bound: int, A: int) -> list:
-    """TSV rows of the pairs (A, B), B any value up to bound, read off
-    two tables that each route builds once per A.
+    """TSV rows of the pairs (A, B), B any value up to bound, built from
+    templates that each route fills once per A.
 
     The root route's fields r1..r4 and rank depend only on A's tests and
-    on three bits of the pair, (4AB a cube, B a cube, B squarish): the 8
-    texts are read off ``CRITERIA``, indexed by those bits as an int.
-
-    The class route's case, when its own test of 4AB fails, depends only
-    on B's class facts (in CUBE_AND_SQUARISH, in QUADRUPLE_CUBE_SQUARISH,
-    cube, squarish) and, through ``_prefer_swap``, on B < A: each such key
-    holds ``_case``'s answer for the first pair that has it.  A pair whose
-    4AB is a cube by its class facts goes to ``_case`` directly."""
-    values, facts, cubes, squarish, cubes_4ab = _value_tables(bound)
-    root_fields = []
-    for key in range(8):
-        cube = {"4AB": key & 4, "A": cubes[A], "B": key & 2}
-        square = {"A": squarish[A], "B": key & 1}
-        r = [int(bool(cube[x] and square[y])) for x, y in CRITERIA.values()]
-        root_fields.append("\t".join(map(str, r + [sum(r)])))
+    on three bits of the pair (``_root_fields``).  The class route's
+    case, when its own test of 4AB fails, depends only on B's four class
+    bits and, through ``_prefer_swap``, on B < A.  So a pair whose 4AB is
+    not a cube reads its fields off a tail per group of B and half
+    (B < A, B >= A), the case being ``_case``'s answer for the first
+    member of that half whose class facts do not make 4AB a cube.  Then
+    each pair that either route's own 4AB test finds is written again in
+    full: the root route finds its pairs by value arithmetic (the cubes
+    that 4A divides with a value as quotient), the class route through
+    class facts (the values whose mod3 is A's partner4), so neither
+    reads the other's answer."""
+    t = _value_tables(bound)
+    facts, texts, groups, root_bits = t.facts, t.texts, t.groups, t.root_bits
+    split = t.position[A]
+    root_fields = _root_fields(*root_bits[groups[split]])
 
     def class_case(B):
         a, b = (B, A) if _prefer_swap(A, B) else (A, B)
         return _case(a, b, facts[a], facts[b])[1]
 
-    four_a, partner4 = 4 * A, facts[A].partner4
-    cases = {}
-    prefix = f"{A}\t"
-    rows = []
-    for B in values:
-        fB = facts[B]
-        if fB.mod3 == partner4:
-            case = class_case(B)
-        else:
-            key = (B in CUBE_AND_SQUARISH, B in QUADRUPLE_CUBE_SQUARISH,
-                   fB.cube, fB.squarish, B < A)
-            case = cases.get(key)
-            if case is None:
-                case = cases[key] = class_case(B)
-        fields = root_fields[(four_a * B in cubes_4ab) * 4
-                             + cubes[B] * 2 + squarish[B]]
-        rows.append(f"{prefix}{B}\t{prefix}{B}\t{fields}\t{case}")
+    partner4 = facts[A].partner4
+    # a group with no such member in a half keeps None there: each of
+    # its pairs is on the class route's list below
+    below, above = [None] * len(root_bits), [None] * len(root_bits)
+    for g, (cube, squarish) in enumerate(root_bits):
+        members = t.members[g]
+        cut = bisect_left(members, A)
+        for tails, half in ((below, members[:cut]), (above, members[cut:])):
+            B = next((B for B in half if facts[B].mod3 != partner4), None)
+            if B is not None:
+                tails[g] = (f"{root_fields[cube * 2 + squarish]}"
+                            f"\t{class_case(B)}")
+    p = f"{A}\t"
+    rows = [f"{p}{b}{p}{b}{below[g]}"
+            for b, g in zip(texts[:split], groups[:split])]
+    rows += [f"{p}{b}{p}{b}{above[g]}"
+             for b, g in zip(texts[split:], groups[split:])]
+
+    four_a, reach = 4 * A, 4 * abs(A) * bound
+    cubes = t.cubes_4ab
+    root_hits = {c // four_a for c in cubes[bisect_left(cubes, -reach):
+                                            bisect_right(cubes, reach)]
+                 if c % four_a == 0 and c // four_a in t.position}
+    for B in root_hits.union(t.by_mod3.get(partner4, ())):
+        i = t.position[B]
+        cube, squarish = root_bits[groups[i]]
+        fields = root_fields[(B in root_hits) * 4 + cube * 2 + squarish]
+        rows[i] = f"{p}{texts[i]}{p}{texts[i]}{fields}\t{class_case(B)}"
     return rows
 
 
@@ -396,14 +454,19 @@ def census_rows(bound: int, jobs: int = 1) -> Iterator[str]:
     if workers <= 1:
         yield from chain.from_iterable(map(task, values))
         return
+    import signal
+
     chunk = max(1, PAIRS_PER_MESSAGE // len(values))
     window = workers * chunk
     # one window at work and the next queued: a reader that stalls
     # stalls the workers once both are done
     windows = []
     # read off the module, so that __getattr__ imports it on first use
-    # and a stand-in set on the module is the one used
-    with sys.modules[__name__].multiprocessing.Pool(workers) as pool:
+    # and a stand-in set on the module is the one used.  The workers
+    # ignore SIGINT: a Ctrl-C reaches the whole process group, and the
+    # parent alone ends the census, collecting what the workers hold
+    with sys.modules[__name__].multiprocessing.Pool(
+            workers, signal.signal, (signal.SIGINT, signal.SIG_IGN)) as pool:
         try:
             for start in range(0, len(values), window):
                 windows.append(pool.imap(task, values[start:start + window],

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -332,6 +333,29 @@ def test_census_into_a_closed_pipe_exits_1_without_traceback(jobs):
         assert b"Traceback" not in proc.stderr.read()
 
 
+@pytest.mark.parametrize("run", range(10))
+def test_census_ends_on_ctrl_c_with_exit_130(run):
+    # a terminal's Ctrl-C sends SIGINT to the whole process group, the
+    # pool's workers included; bound 3000 is far from done after 1 s
+    with subprocess.Popen(
+            [sys.executable, "-m", "sexticrank.cli", "census", "--bound",
+             "3000", "--jobs", "2"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=CHILD_ENV, start_new_session=True) as proc:
+        try:
+            assert proc.stdout.readline().startswith(b"A\tB\t")
+            time.sleep(1)
+            os.killpg(proc.pid, signal.SIGINT)
+            _, err = proc.communicate(timeout=15)
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        assert proc.returncode == 130
+        assert err == b"sexticrank: interrupted\n"
+
+
 def test_oracle_text(capsys):
     assert run_cli(["oracle", "8", "9", "--k", "2"]) == 0
     out = capsys.readouterr().out
@@ -482,20 +506,32 @@ def test_census_bytes_pinned(capsys):
     assert digest == PINNED_CENSUS_30_SHA256
 
 
-def test_census_names_each_disagreement_in_row_order(capsys, monkeypatch):
+def census_with_2c_at_rank_3(capsys, monkeypatch, bound, pairs):
     # a case table that gives case 2c the wrong rank makes every 2c pair
     # a disagreement between the routes
     monkeypatch.setattr(cli, "CASE_RANK", {**cli.CASE_RANK, "2c": 3})
-    assert run_cli(["census", "--bound", "30"]) == 1
+    assert run_cli(["census", "--bound", str(bound)]) == 1
     out, err = capsys.readouterr()
     rows = [line.split("\t") for line in out.splitlines()[1:]
             if not line.startswith("#")]
-    assert len(rows) == 60 * 60
+    assert len(rows) == pairs
     bad = [(a, b) for a, b, *_, case in rows if case == "2c"]
     assert bad
-    assert f"# classify agreements {3600 - len(bad)}/3600" in out.splitlines()
+    assert (f"# classify agreements {pairs - len(bad)}/{pairs}"
+            in out.splitlines())
     assert err.splitlines() == [f"disagreement at A = {a}, B = {b}"
                                 for a, b in bad]
+
+
+def test_census_names_each_disagreement_in_row_order(capsys, monkeypatch):
+    census_with_2c_at_rank_3(capsys, monkeypatch, 30, 60 * 60)
+
+
+def test_census_names_disagreements_across_fold_batches(capsys, monkeypatch):
+    # bound 100 has 198 values, so its 39,204 rows are folded in many
+    # batches, and the 2c pairs lie in several of them
+    assert 39204 > 8 * cli.CENSUS_BATCH
+    census_with_2c_at_rank_3(capsys, monkeypatch, 100, 198 * 198)
 
 
 def test_census_fold_decodes_one_and_two_character_cases(capsys,

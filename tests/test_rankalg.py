@@ -208,7 +208,7 @@ def test_census_workers_capped_at_cpu_count(monkeypatch):
         """Runs the tasks in this process and records the pool size and
         each imap call's function and the inputs it draws."""
 
-        def __init__(self, processes):
+        def __init__(self, processes, initializer=None, initargs=()):
             sizes.append(processes)
 
         def __enter__(self):
@@ -306,15 +306,17 @@ def test_census_pairs_take_no_class_products(monkeypatch):
 
 @pytest.mark.parametrize("bound", [1, 2, 30])
 def test_census_cube_table_is_the_cube_test_of_4ab(bound):
-    values, _, _, _, cubes_4ab = rankalg._value_tables(bound)
+    tables = rankalg._value_tables(bound)
+    values, cubes_4ab = tables.values, tables.cubes_4ab
+    assert cubes_4ab == sorted(cubes_4ab)
     for A in values:
         for B in values:
             assert ((4 * A * B in cubes_4ab)
                     == (exactnum.is_kth_power(4 * A * B, 3) is not None))
     # every integer 4AB can be, up to the edges +-4 bound^2
     edge = 4 * bound * bound
-    assert cubes_4ab == {n for n in range(-edge, edge + 1)
-                         if exactnum.is_kth_power(n, 3) is not None}
+    assert set(cubes_4ab) == {n for n in range(-edge, edge + 1)
+                              if exactnum.is_kth_power(n, 3) is not None}
 
 
 def test_census_pairs_take_no_root_extraction(monkeypatch):
@@ -351,6 +353,38 @@ def test_census_calls_case_per_key_not_per_pair(monkeypatch):
     assert direct < 3600 // 4
     for name, count in calls.items():
         assert count <= 32 * len(values) + direct, name
+
+
+def test_census_templates_keep_the_routes_independent(monkeypatch, capsys):
+    # a class route that answers rank 0 everywhere leaves the root route's
+    # fields as rank_breakdown has them, and the fold names exactly the
+    # pairs of positive rank
+    monkeypatch.setattr(rankalg, "_case",
+                        lambda a, b, fA, fB: (0, "0", (0, 0, 0, 0)))
+    positive = []
+    for line in list(census_rows(30))[1:]:
+        cols = line.split("\t")
+        bd = rank_breakdown(int(cols[0]), int(cols[1]))
+        assert tuple(int(c) for c in cols[4:9]) == bd.r + (bd.rank,)
+        assert cols[9] == "0"
+        if bd.rank:
+            positive.append(cols[:2])
+    assert main(["census", "--bound", "30"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"disagreement at A = {a}, B = {b}" for a, b in positive]
+    monkeypatch.undo()
+    # a root route that finds no 4AB a cube leaves every case as classify
+    # has it, while its own fields change: rank-3 pairs lose r1 and r4
+    tables = rankalg._value_tables(30)
+    monkeypatch.setattr(rankalg, "_value_tables",
+                        lambda bound: tables._replace(cubes_4ab=[]))
+    ranks = {}
+    for line in list(census_rows(30))[1:]:
+        cols = line.split("\t")
+        A, B = int(cols[0]), int(cols[1])
+        assert cols[9] == classify(A, B).case
+        ranks[A, B] = int(cols[8])
+    assert ranks[1, 16] == 1 and ranks[-27, 16] == 1
 
 
 def test_census_case_table_equals_the_direct_path():
