@@ -17,8 +17,6 @@ import re
 import sys
 from collections import Counter
 from fractions import Fraction
-from itertools import islice
-from operator import itemgetter
 
 from .exactnum import parse_rational
 from .generators import (
@@ -29,7 +27,7 @@ from .generators import (
 )
 from .oracle import MAX_HEIGHT, cross_validate
 from .rankalg import (CASE_RANK, CRITERIA, MAX_CENSUS_BOUND,
-                      breakdown_to_json, census_rows, rank_breakdown)
+                      breakdown_to_json, census_blocks, rank_breakdown)
 
 
 def rational_arg(text: str) -> Fraction:
@@ -213,41 +211,34 @@ def _emit_verification(report, fmt: str) -> int:
     return 0 if report.ok else 1
 
 
-#: rows per write and per fold step of the census; larger batches gain
-#: nothing measurable and raise the peak memory (8,192 rows: +2 MB)
-CENSUS_BATCH = 1024
-
-
 def cmd_census(args) -> int:
     if args.bound > MAX_CENSUS_BOUND:
         _PARSER.error(f"--bound is above the limit of {MAX_CENSUS_BOUND}")
     # rows per distinct ending: a row's last four characters hold
     # "rank\tcase", as the rank is one digit and a case label one or two
     # characters (a one-character label brings the tab before the rank).
-    # Each ending is decoded the first time it is counted and the
-    # disagreeing ones are kept in a set; once one has appeared, each
-    # batch is read row by row, so disagreements are named in row order.
+    # An ending is decoded the first time a block counts it; a block that
+    # counts a disagreeing one is read row by row, to name them in order.
     endings = Counter()
     ranks = {}
     bad = set()
     disagreements = []
-    rows = census_rows(args.bound, jobs=args.jobs)
+    blocks = census_blocks(args.bound, args.jobs)
     try:
-        sys.stdout.write(next(rows) + "\n")  # the header
-        while batch := list(islice(rows, CENSUS_BATCH)):
-            sys.stdout.write("\n".join(batch) + "\n")
-            endings.update(map(itemgetter(slice(-4, None)), batch))
-            for ending in endings.keys() - ranks.keys():
+        for text, counts in blocks:
+            sys.stdout.write(text)
+            endings.update(counts)
+            for ending in counts.keys() - ranks.keys():
                 rank, case = ending.lstrip("\t").split("\t")
                 ranks[ending] = int(rank)
                 if CASE_RANK[case] != ranks[ending]:
                     bad.add(ending)
-            if bad:
-                disagreements += [line.split("\t", 2)[:2] for line in batch
-                                  if line[-4:] in bad]
+            if not bad.isdisjoint(counts):
+                disagreements += [line.split("\t", 2)[:2] for line in
+                                  text.splitlines() if line[-4:] in bad]
     finally:
         # a pooled census collects what its workers hold before it ends
-        rows.close()
+        blocks.close()
     histogram = Counter()
     for ending, count in endings.items():
         histogram[ranks[ending]] += count

@@ -17,7 +17,7 @@ reduces (A, B) to canonical sixth-power-free integers via
 factorization and reads the rank off a finite list of residue-class
 cases (``_case``).  ``census_rows`` runs both routes on every canonical
 pair up to a bound, one TSV row per pair; ``sexticrank census`` folds
-the rows into a rank histogram and counts the pairs where they agree.
+its ``census_blocks`` into a rank histogram and counts where they agree.
 """
 
 from __future__ import annotations
@@ -25,10 +25,12 @@ from __future__ import annotations
 import os
 import sys
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import chain
+from itertools import chain, islice
+from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional
 
 from .exactnum import (
@@ -54,6 +56,7 @@ __all__ = [
     "class_facts",
     "classify",
     "census_rows",
+    "census_blocks",
     "MAX_CENSUS_BOUND",
     "sixth_power_free_values",
     "breakdown_to_json",
@@ -295,10 +298,14 @@ def classify(A, B) -> Classification:
 #: 190 MB.
 MAX_CENSUS_BOUND = 10_000
 
-#: pairs per pooled-census message: 5,000 rows take about 0.8 ms to build
-#: and 0.65 ms to pickle and unpickle (2 cores); from bound 1,280 on (2,518
-#: values) a message holds one A, so memory stays flat.
+#: pairs per pooled-census message, so about 130 kB of block text: 25 blocks
+#: at bound 100 build in 3 ms and pickle and unpickle in 0.14 ms (2 cores);
+#: from bound 1,280 on (2,518 values) a message holds one A: memory is flat.
 PAIRS_PER_MESSAGE = 5_000
+
+#: rows per block on one process; larger blocks gain nothing measurable and
+#: raise the peak memory (8,192 rows: +2 MB)
+CENSUS_BATCH = 1024
 
 
 def sixth_power_free_values(bound: int) -> list:
@@ -436,26 +443,48 @@ def _census_rows_of(bound: int, A: int) -> list:
     return rows
 
 
-def census_rows(bound: int, jobs: int = 1) -> Iterator[str]:
-    """TSV rows of the census, header first; byte-identical for any jobs.
+def census_rows(bound: int) -> Iterator[str]:
+    """TSV rows of the census, header first, built in this process.
 
     Canonical pairs are pairs of sixth-power-free integers; every
     E_{A,B} is isomorphic over Q(t) to one with such coefficients.  Each
     row carries the root route's criteria and rank and the class route's
-    case.  Each A is one task, run here or on min(jobs, CPU count)
-    processes; a pool works through windows of workers x chunk values,
-    at most two of them in flight.  Above MAX_CENSUS_BOUND it raises
-    ValueError before any row.
+    case.  Above MAX_CENSUS_BOUND it raises ValueError before any row.
     """
     values = sixth_power_free_values(bound)
     yield CENSUS_TSV_HEADER
-    task = partial(_census_rows_of, bound)
+    yield from chain.from_iterable(map(partial(_census_rows_of, bound),
+                                       values))
+
+
+def _block(rows: list) -> tuple:
+    """The rows' TSV text and a Counter of their last four characters."""
+    return ("\n".join(rows) + "\n",
+            Counter(map(itemgetter(slice(-4, None)), rows)))
+
+
+def _census_block_of(bound: int, A: int) -> tuple:
+    return _block(_census_rows_of(bound, A))
+
+
+def census_blocks(bound: int, jobs: int = 1) -> Iterator[tuple]:
+    """The census as (text, endings) blocks, the header's first with no
+    endings; the text is the same for any jobs.  One process cuts
+    ``census_rows`` every CENSUS_BATCH rows; a pool of min(jobs, CPU
+    count) makes one block per A, through windows of workers x chunk
+    values, at most two in flight.  Above MAX_CENSUS_BOUND: ValueError."""
     workers = min(jobs, os.cpu_count() or 1)
     if workers <= 1:
-        yield from chain.from_iterable(map(task, values))
+        rows = census_rows(bound)
+        yield next(rows) + "\n", Counter()
+        while batch := list(islice(rows, CENSUS_BATCH)):
+            yield _block(batch)
         return
+    values = sixth_power_free_values(bound)
+    yield CENSUS_TSV_HEADER + "\n", Counter()
     import signal
 
+    task = partial(_census_block_of, bound)
     chunk = max(1, PAIRS_PER_MESSAGE // len(values))
     window = workers * chunk
     # one window at work and the next queued: a reader that stalls
@@ -472,10 +501,10 @@ def census_rows(bound: int, jobs: int = 1) -> Iterator[str]:
                 windows.append(pool.imap(task, values[start:start + window],
                                          chunk))
                 if len(windows) == 2:
-                    yield from chain.from_iterable(windows[0])
+                    yield from windows[0]
                     windows.pop(0)
             for results in windows:
-                yield from chain.from_iterable(results)
+                yield from results
         finally:
             # the reader may have gone: collect what the workers hold, so
             # that terminate kills none holding the result queue's lock

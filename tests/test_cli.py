@@ -13,7 +13,7 @@ import jsonschema
 import pytest
 
 import sexticrank
-from sexticrank import cli, exactnum
+from sexticrank import cli, exactnum, rankalg
 from sexticrank.cli import main
 from sexticrank.curve import CurvePoint
 from sexticrank.exactnum import MAX_LITERAL_DIGITS
@@ -506,11 +506,12 @@ def test_census_bytes_pinned(capsys):
     assert digest == PINNED_CENSUS_30_SHA256
 
 
-def census_with_2c_at_rank_3(capsys, monkeypatch, bound, pairs):
+def census_with_2c_at_rank_3(capsys, monkeypatch, bound, pairs, jobs):
     # a case table that gives case 2c the wrong rank makes every 2c pair
-    # a disagreement between the routes
+    # a disagreement between the routes; the parent decodes the endings,
+    # so the table applies to a pooled census too
     monkeypatch.setattr(cli, "CASE_RANK", {**cli.CASE_RANK, "2c": 3})
-    assert run_cli(["census", "--bound", str(bound)]) == 1
+    assert run_cli(["census", "--bound", str(bound), "--jobs", jobs]) == 1
     out, err = capsys.readouterr()
     rows = [line.split("\t") for line in out.splitlines()[1:]
             if not line.startswith("#")]
@@ -524,14 +525,43 @@ def census_with_2c_at_rank_3(capsys, monkeypatch, bound, pairs):
 
 
 def test_census_names_each_disagreement_in_row_order(capsys, monkeypatch):
-    census_with_2c_at_rank_3(capsys, monkeypatch, 30, 60 * 60)
+    for jobs in ("1", "2"):
+        census_with_2c_at_rank_3(capsys, monkeypatch, 30, 60 * 60, jobs)
 
 
 def test_census_names_disagreements_across_fold_batches(capsys, monkeypatch):
     # bound 100 has 198 values, so its 39,204 rows are folded in many
-    # batches, and the 2c pairs lie in several of them
-    assert 39204 > 8 * cli.CENSUS_BATCH
-    census_with_2c_at_rank_3(capsys, monkeypatch, 100, 198 * 198)
+    # blocks (one per A when pooled), and the 2c pairs lie in several
+    assert 39204 > 8 * rankalg.CENSUS_BATCH
+    for jobs in ("1", "2"):
+        census_with_2c_at_rank_3(capsys, monkeypatch, 100, 198 * 198, jobs)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_census_fold_reads_only_blocks_with_a_disagreement(capsys,
+                                                           monkeypatch, jobs):
+    read, seen = [], []
+
+    class Text(str):
+        """A block's text that records being read row by row."""
+
+        def splitlines(self):
+            read.append(self)
+            return super().splitlines()
+
+    def blocks(bound, jobs):
+        for text, counts in rankalg.census_blocks(bound, jobs):
+            seen.append((text, counts))
+            yield Text(text), counts
+
+    monkeypatch.setattr(cli, "census_blocks", blocks)
+    monkeypatch.setattr(cli, "CASE_RANK", {**cli.CASE_RANK, "2c": 3})
+    assert run_cli(["census", "--bound", "100", "--jobs", jobs]) == 1
+    # the 2c pairs lie in some blocks only, and only those are read
+    with_2c = [text for text, counts in seen
+               if any(ending.endswith("\t2c") for ending in counts)]
+    assert 0 < len(with_2c) < len(seen) - 1
+    assert read == with_2c
 
 
 def test_census_fold_decodes_one_and_two_character_cases(capsys,
@@ -539,20 +569,21 @@ def test_census_fold_decodes_one_and_two_character_cases(capsys,
     # the fold reads "rank\tcase" off a row's last four characters
     assert all(1 <= len(case) <= 2 for case in cli.CASE_RANK)
     monkeypatch.setattr(cli, "CASE_RANK", {**cli.CASE_RANK, "1": 0, "2c": 3})
-    assert run_cli(["census", "--bound", "30"]) == 1
-    out, err = capsys.readouterr()
-    lines = out.splitlines()
-    rows = [line.split("\t") for line in lines[1:-3]]
-    wrong = [cols for cols in rows if cols[9] in ("1", "2c")]
-    assert {cols[9] for cols in wrong} == {"1", "2c"}
-    bad = [(cols[0], cols[1]) for cols in wrong]
-    assert lines[-3:] == [
-        "# pairs 3600",
-        "# rank histogram 0:3481 1:102 2:13 3:4",
-        f"# classify agreements {3600 - len(bad)}/3600",
-    ]
-    assert err.splitlines() == [f"disagreement at A = {a}, B = {b}"
-                                for a, b in bad]
+    for jobs in ("1", "2"):
+        assert run_cli(["census", "--bound", "30", "--jobs", jobs]) == 1
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        rows = [line.split("\t") for line in lines[1:-3]]
+        wrong = [cols for cols in rows if cols[9] in ("1", "2c")]
+        assert {cols[9] for cols in wrong} == {"1", "2c"}
+        bad = [(cols[0], cols[1]) for cols in wrong]
+        assert lines[-3:] == [
+            "# pairs 3600",
+            "# rank histogram 0:3481 1:102 2:13 3:4",
+            f"# classify agreements {3600 - len(bad)}/3600",
+        ]
+        assert err.splitlines() == [f"disagreement at A = {a}, B = {b}"
+                                    for a, b in bad]
 
 
 #: sha256 of the stdout of `census --bound 100`

@@ -2,6 +2,7 @@ import json
 import multiprocessing.pool
 import threading
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import chain, product
 from types import SimpleNamespace
@@ -17,6 +18,7 @@ from sexticrank.rankalg import (
     CENSUS_TSV_HEADER,
     MAX_CENSUS_BOUND,
     breakdown_to_json,
+    census_blocks,
     census_rows,
     class_facts,
     classify,
@@ -197,8 +199,16 @@ def test_census_rows_match_direct_calls():
         assert cols[9] == cl.case
 
 
+def joined(blocks):
+    """A census's text and the sum of its blocks' ending counts."""
+    texts, counts = zip(*blocks)
+    return "".join(texts), sum(counts, Counter())
+
+
 def test_census_rows_deterministic_across_jobs():
-    assert list(census_rows(8, jobs=1)) == list(census_rows(8, jobs=3))
+    serial = joined(census_blocks(8, jobs=1))
+    assert serial[0] == "\n".join(census_rows(8)) + "\n"
+    assert joined(census_blocks(8, jobs=3)) == serial
 
 
 def test_census_workers_capped_at_cpu_count(monkeypatch):
@@ -229,26 +239,31 @@ def test_census_workers_capped_at_cpu_count(monkeypatch):
     # bound 8 fits in one window; bound 300 has 592 values, so windows of
     # 16 values at 2 workers and 24 at 3
     for bound in (8, 300):
-        serial = list(census_rows(bound, jobs=1))
+        serial = joined(census_blocks(bound, jobs=1))
+        assert serial[0] == "\n".join(census_rows(bound)) + "\n"
         values = sixth_power_free_values(bound)
         chunk = max(1, rankalg.PAIRS_PER_MESSAGE // len(values))
         for cpus, jobs, workers in ((3, 10 ** 6, 3), (3, 2, 2),
                                     (None, 10 ** 6, 1)):
             monkeypatch.setattr(rankalg.os, "cpu_count", lambda: cpus)
             del sizes[:], tasks[:]
-            assert list(census_rows(bound, jobs=jobs)) == serial
+            assert joined(census_blocks(bound, jobs=jobs)) == serial
             assert sizes == ([workers] if workers > 1 else [])
             if workers == 1:
                 continue
-            # one task per value A, whose result is A's row against every
-            # value; each imap call draws at most one window, in order
+            # one task per value A, whose result is the block of A's rows
+            # against every value and the count of their endings; each
+            # imap call draws at most one window, in order
             assert all(len(items) <= workers * chunk for _, items in tasks)
             assert list(chain.from_iterable(i for _, i in tasks)) == values
             for fn, items in tasks:
                 for A in items:
-                    rows = fn(A)
+                    text, counts = fn(A)
+                    assert text.endswith("\n")
+                    rows = text.splitlines()
                     assert len(rows) == len(values)
                     assert all(row.startswith(f"{A}\t") for row in rows)
+                    assert counts == Counter(row[-4:] for row in rows)
 
 
 def test_census_rows_full_route_equivalence():
@@ -419,14 +434,14 @@ def test_pooled_census_draws_values_as_its_rows_are_read(monkeypatch):
     monkeypatch.setattr(rankalg.os, "cpu_count", lambda: 2)
     values = sixth_power_free_values(300)
     chunk = max(1, rankalg.PAIRS_PER_MESSAGE // len(values))
-    rows = census_rows(300, jobs=2)
-    assert next(rows) == CENSUS_TSV_HEADER
-    assert next(rows).startswith("-300\t-300\t")
+    blocks = census_blocks(300, jobs=2)
+    assert next(blocks) == (CENSUS_TSV_HEADER + "\n", Counter())
+    assert next(blocks)[0].startswith("-300\t-300\t")
     time.sleep(1)
     # the reader holds one A: two windows of 2 x chunk values are in
     # flight, and nothing more is drawn until the reader goes on
     assert len(drawn) == 2 * 2 * chunk < len(values)
-    closer = threading.Thread(target=rows.close, daemon=True)
+    closer = threading.Thread(target=blocks.close, daemon=True)
     closer.start()
     closer.join(timeout=30)
     assert not closer.is_alive()
