@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("A", type=rational_arg)
     p.add_argument("B", type=rational_arg)
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(run=cmd_rank)
+    p.set_defaults(run=cmd_rank, parser=p)
 
     p = sub.add_parser(
         "certify",
@@ -82,13 +82,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", metavar="FILE",
                    help="re-verify an existing certificate file, "
                         "given without A, B or --output")
-    p.set_defaults(run=cmd_certify)
+    p.set_defaults(run=cmd_certify, parser=p)
 
     p = sub.add_parser("census",
                        help="stream all sixth-power-free pairs up to a bound")
     p.add_argument("--bound", type=positive_int, required=True)
     p.add_argument("--jobs", type=positive_int, default=1)
-    p.set_defaults(run=cmd_census)
+    p.set_defaults(run=cmd_census, parser=p)
 
     p = sub.add_parser("oracle",
                        help="independent bounded-height point search")
@@ -98,18 +98,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict to one component (default: all four)")
     p.add_argument("--height", type=positive_int, default=12)
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(run=cmd_oracle)
+    p.set_defaults(run=cmd_oracle, parser=p)
 
     return parser
 
 
 def _require_nonzero(args):
     if args.A is None or args.B is None:
-        _PARSER.error("A and B are required")
+        args.parser.error("A and B are required")
     if args.A == 0:
-        _PARSER.error("A must be nonzero")
+        args.parser.error("A must be nonzero")
     if args.B == 0:
-        _PARSER.error("B must be nonzero")
+        args.parser.error("B must be nonzero")
 
 
 def _component_text(reason) -> str:
@@ -156,14 +156,14 @@ def cmd_rank(args) -> int:
 def cmd_certify(args) -> int:
     if args.verify:
         if args.A is not None or args.B is not None or args.output:
-            _PARSER.error("--verify takes no A, B or --output")
+            args.parser.error("--verify takes no A, B or --output")
         # ValueError covers bad JSON and bytes that are not UTF-8, and
         # RecursionError JSON nested deeper than the interpreter's stack
         try:
             with open(args.verify, encoding="utf-8") as fh:
                 data = json.load(fh)
         except (OSError, ValueError, RecursionError) as exc:
-            _PARSER.error(f"cannot read certificate: {exc}")
+            args.parser.error(f"cannot read certificate: {exc}")
         report = verify_certificate_json(data)
         return _emit_verification(report, args.format)
 
@@ -177,7 +177,7 @@ def cmd_certify(args) -> int:
                 json.dump(data, fh, indent=2)
                 fh.write("\n")
         except OSError as exc:
-            _PARSER.error(f"cannot write certificate: {exc}")
+            args.parser.error(f"cannot write certificate: {exc}")
     if args.format == "json":
         print(json.dumps(data, indent=2))
     else:
@@ -213,7 +213,7 @@ def _emit_verification(report, fmt: str) -> int:
 
 def cmd_census(args) -> int:
     if args.bound > MAX_CENSUS_BOUND:
-        _PARSER.error(f"--bound is above the limit of {MAX_CENSUS_BOUND}")
+        args.parser.error(f"--bound is above the limit of {MAX_CENSUS_BOUND}")
     # rows per distinct ending: a row's last four characters hold
     # "rank\tcase", as the rank is one digit and a case label one or two
     # characters (a one-character label brings the tab before the rank).
@@ -257,7 +257,7 @@ def cmd_census(args) -> int:
 def cmd_oracle(args) -> int:
     _require_nonzero(args)
     if args.height > MAX_HEIGHT:
-        _PARSER.error(f"--height is above the limit of {MAX_HEIGHT}")
+        args.parser.error(f"--height is above the limit of {MAX_HEIGHT}")
     ks = [args.k] if args.k else [1, 2, 3, 4]
     results = [cross_validate(args.A, args.B, k, height=args.height)
                for k in ks]
@@ -299,12 +299,13 @@ def main(argv=None) -> int:
         return args.run(args)
     except ValueError as exc:
         # literals within MAX_LITERAL_DIGITS can still give a point too
-        # large to print; any other ValueError is a fault, not a usage error
+        # large to print; any other ValueError is a fault, not a usage error.
+        # parse_args reports its own errors, so args is set by now
         if "integer string conversion" not in str(exc):
             raise
-        _PARSER.error("an integer to print has more than "
-                      f"{sys.get_int_max_str_digits()} digits, above the "
-                      "limit of int/str conversion")
+        args.parser.error("an integer to print has more than "
+                          f"{sys.get_int_max_str_digits()} digits, above the "
+                          "limit of int/str conversion")
     except KeyboardInterrupt:
         # Ctrl-C; a census has closed its pool by now (cmd_census)
         print("sexticrank: interrupted", file=sys.stderr)

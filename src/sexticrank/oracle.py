@@ -22,6 +22,18 @@ again below it, since linear, square-discriminant and pure-cube roots
 are exact.  Soundness does not rest on the plan: every emitted point
 passes a final on-curve verification, so the plan only affects
 completeness.
+
+The search walks each pair {P, -P} once.  y enters the equations only
+through y^2, so every monomial has degree 0 or 2 in the b's, and
+negating all of them changes no equation's value and none of the
+unknown sets, ``_solve_single``'s degrees and None cases, or the terms
+``bind`` drops.  The plan is therefore the same on a subtree and on its
+mirror image, with the roots in a b negated and those in an a
+unchanged.  So while every b assigned on a path is 0, a b variable
+takes only its values and roots >= 0: the first nonzero b of a path is
+positive.  The rule is exact, not a heuristic, and as the points are
+taken up to the sign of y, the found set is the same as with both signs
+walked.
 """
 
 from __future__ import annotations
@@ -88,8 +100,8 @@ DESCENT_SHAPES = {
 
 #: largest coefficient height searched: heights_ordered(H) has about
 #: 1.2 H^2 values, and the descent-shape search `oracle -12 36 --k 1
-#: --height H` takes about 1 s at H = 12, 3 s at 16 and 5 s at 20
-#: (CPython 3.11, 2-core x86-64 machine)
+#: --height H` takes about 0.5 s at H = 12, 1.4 s at 16 and 1.9-2.2 s
+#: at 20 (CPython 3.11, 2-core x86-64 machine)
 MAX_HEIGHT = 20
 
 
@@ -312,9 +324,9 @@ def search_points(A, B, k: int, shape: SearchShape, height: int) -> tuple:
     solutions = []
     assign = {}
 
-    def dfs(checks, unsettled):
+    def dfs(checks, unsettled, y_free):
         # verify the equations this level completed; unsettled holds the
-        # others with their unknowns
+        # others with their unknowns; y_free: every b assigned is 0
         for eq in checks:
             if eq.evaluate(assign):
                 return
@@ -327,7 +339,7 @@ def search_points(A, B, k: int, shape: SearchShape, height: int) -> tuple:
                 if roots is not None:
                     if roots:
                         branch(var, roots, [pair for pair in unsettled
-                                            if pair[0] is not eq])
+                                            if pair[0] is not eq], y_free)
                     return
         var = _pick_variable(unsettled, variables, assign)
         if var is None:
@@ -335,9 +347,10 @@ def search_points(A, B, k: int, shape: SearchShape, height: int) -> tuple:
         else:
             # the values assigned so far stay fixed below this level
             branch(var, ((v.numerator, v.denominator) for v in values),
-                   [(eq.bind(assign), unknown) for eq, unknown in unsettled])
+                   [(eq.bind(assign), unknown) for eq, unknown in unsettled],
+                   y_free)
 
-    def branch(var, pairs, unsettled):
+    def branch(var, pairs, unsettled, y_free):
         # every child assigns var and nothing else, so the children share
         # one split: the equations var completes, and the rest
         checks, rest = [], []
@@ -349,13 +362,18 @@ def search_points(A, B, k: int, shape: SearchShape, height: int) -> tuple:
                 checks.append(eq)
             else:
                 rest.append((eq, unknown - {var}))
+        # while every b is 0, var = -v roots the mirror image (all b's
+        # negated) of the subtree of v: keep only the first nonzero b > 0
+        mirror = y_free and var[0] == "b"
         for pair in pairs:
+            if mirror and pair[0] < 0:
+                continue
             assign[var] = pair
-            dfs(checks, rest)
+            dfs(checks, rest, y_free and not (mirror and pair[0]))
         assign.pop(var, None)
 
     dfs([eq for eq in eqs if not eq.vars],
-        [(eq, eq.vars) for eq in eqs if eq.vars])
+        [(eq, eq.vars) for eq in eqs if eq.vars], True)
     return _collect(solutions, shape, A, B, k) if solutions else ()
 
 

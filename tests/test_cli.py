@@ -226,32 +226,43 @@ def test_certify_verify_refuses_pair_and_output(extra, tmp_path, capsys,
     out, err = capsys.readouterr()
     assert out == ""
     assert err.splitlines()[-1] == (
-        "sexticrank: error: --verify takes no A, B or --output")
+        "sexticrank certify: error: --verify takes no A, B or --output")
     assert not (tmp_path / "G.json").exists()
 
 
-#: the last stderr line of each usage error a command checks itself
+#: the last stderr line of each usage error a command checks itself: it
+#: names the command and follows the command's usage, as argparse's own
+#: checks of that command do; an argument no command takes is the
+#: top-level parser's error
 @pytest.mark.parametrize("argv,message", [
-    (["rank", "0", "5"], "A must be nonzero"),
-    (["rank", "5", "0"], "B must be nonzero"),
-    (["certify"], "A and B are required"),
-    (["certify", "0", "1"], "A must be nonzero"),
-    (["certify", "1", "0"], "B must be nonzero"),
-    (["census", "--bound", "10001"], "--bound is above the limit of 10000"),
-    (["oracle", "0", "16"], "A must be nonzero"),
-    (["oracle", "1", "0"], "B must be nonzero"),
+    (["rank", "0", "5"], "sexticrank rank: error: A must be nonzero"),
+    (["rank", "5", "0"], "sexticrank rank: error: B must be nonzero"),
+    (["certify"], "sexticrank certify: error: A and B are required"),
+    (["certify", "0", "1"], "sexticrank certify: error: A must be nonzero"),
+    (["certify", "1", "0"], "sexticrank certify: error: B must be nonzero"),
+    (["certify", "--verify", "missing.json"],
+     "sexticrank certify: error: cannot read certificate: [Errno 2] "
+     "No such file or directory: 'missing.json'"),
+    (["census", "--bound", "10001"],
+     "sexticrank census: error: --bound is above the limit of 10000"),
+    (["oracle", "0", "16"], "sexticrank oracle: error: A must be nonzero"),
+    (["oracle", "1", "0"], "sexticrank oracle: error: B must be nonzero"),
     (["oracle", "1", "16", "--height", "21"],
-     "--height is above the limit of 20"),
+     "sexticrank oracle: error: --height is above the limit of 20"),
     (["census", "--bound", "2", "--format", "tsv"],
-     "unrecognized arguments: --format tsv"),
+     "sexticrank: error: unrecognized arguments: --format tsv"),
 ], ids=["rank-A-zero", "rank-B-zero", "certify-no-pair", "certify-A-zero",
-        "certify-B-zero", "census-bound-cap", "oracle-A-zero", "oracle-B-zero",
-        "oracle-height-cap", "census-format"])
-def test_usage_errors(argv, message, capsys):
+        "certify-B-zero", "certify-verify-missing-file", "census-bound-cap",
+        "oracle-A-zero", "oracle-B-zero", "oracle-height-cap",
+        "census-format"])
+def test_usage_errors(argv, message, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     assert run_cli(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.splitlines()[-1] == f"sexticrank: error: {message}"
+    prog = message.split(": error: ")[0]
+    assert err.startswith(f"usage: {prog} [-h]")
+    assert err.splitlines()[-1] == message
 
 
 def test_main_builds_no_parser(monkeypatch, capsys):
