@@ -259,8 +259,8 @@ def cmd_oracle(args) -> int:
     if args.height > MAX_HEIGHT:
         args.parser.error(f"--height is above the limit of {MAX_HEIGHT}")
     ks = [args.k] if args.k else [1, 2, 3, 4]
-    results = [cross_validate(args.A, args.B, k, height=args.height)
-               for k in ks]
+    bd = rank_breakdown(args.A, args.B)
+    results = [cross_validate(bd, k, height=args.height) for k in ks]
     if args.format == "json":
         out = {
             "A": str(args.A),

@@ -164,12 +164,14 @@ _SMALL_TRIAL_LIMIT = 100
 # twelve bases used in _is_prime.
 _MR_CERTAIN_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+#: Brent rho iterations spent on one cofactor before giving up
+_RHO_BUDGET = 1_000_000
 
 
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -223,12 +225,12 @@ def _brent_rho(n: int, budget: int) -> Optional[int]:
     return None
 
 
-def factorint(n: int, rho_budget: int = 1_000_000) -> dict[int, int]:
+def factorint(n: int) -> dict[int, int]:
     """Factor a positive integer into {prime: exponent}.
 
     Trial division by the primes below 100, and on up to 10^6 while the
-    cofactor is too large to certify; then Miller-Rabin and budgeted Brent
-    rho on the cofactor.
+    cofactor is too large to certify; then Miller-Rabin and Brent rho,
+    at most _RHO_BUDGET iterations a cofactor.
     Raises FactorBudgetExceeded rather than returning anything
     unverified (also when primality of a huge cofactor cannot be
     settled deterministically).
@@ -257,7 +259,7 @@ def factorint(n: int, rho_budget: int = 1_000_000) -> dict[int, int]:
         if _is_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
-        d = _brent_rho(m, rho_budget)
+        d = _brent_rho(m, _RHO_BUDGET)
         if d is None:
             raise FactorBudgetExceeded(
                 f"input too large: rho budget exhausted on {m}")

@@ -2,14 +2,14 @@
 
 Each satisfied rank criterion k = 1..4 comes with a constructive
 witness: a point on the subfamily curve y^2 = x^3 + s^k (A s + B),
-written down in closed form from the cube and square roots that the
-criterion provides.  When the square condition only holds through
--3 (so the naive point P has coordinates in Q(sqrt(-3))), the witness
-is the rational point omega(P) + conj(omega(P)) of Galois descent,
-also in closed form (``descended_point``).  The subfamily point is
-then pushed to the sextic curve y^2 = x^3 + A t^6 + B along the
-degree-6 base change, where it satisfies an eigenspace identity under
-t -> zeta6*t that pins down which criterion it came from.
+written down in closed form from the cube and square roots that
+``rank_breakdown`` stored for the criterion.  When the square condition
+only holds through -3 (so the naive point P has coordinates in
+Q(sqrt(-3))), the witness is the rational point omega(P) + conj(omega(P))
+of Galois descent, also in closed form (``descended_point``).  The
+subfamily point is then pushed to the sextic curve y^2 = x^3 + A t^6 + B
+along the degree-6 base change, where it satisfies an eigenspace
+identity under t -> zeta6*t that pins down which criterion it came from.
 
 A certificate proves the lower bound rank >= r: its witnesses are
 nonzero points with distinct eigenspace tags on a curve whose type II
@@ -38,13 +38,9 @@ from math import prod
 from typing import Optional
 
 from .curve import LEGAL_KM, CurvePoint, FunctionFieldCurve, O
-from .exactnum import (
-    is_kth_power,
-    is_square_or_neg3_square,
-    parse_rational,
-)
+from .exactnum import parse_rational
 from .funcfield import Poly, RatFunc, parse_point, restrict_to_rational
-from .rankalg import CRITERIA, RankBreakdown, criterion_values, rank_breakdown
+from .rankalg import CRITERIA, RankBreakdown, rank_breakdown
 
 __all__ = [
     "GeneratorWitness",
@@ -102,35 +98,29 @@ def construction_text(k: int, used_descent: bool) -> str:
     return _CONSTRUCTIONS[k]
 
 
-def subfamily_generator(A, B, k: int) -> Optional[GeneratorWitness]:
+def subfamily_generator(bd: RankBreakdown, k: int) -> Optional[GeneratorWitness]:
     """The closed-form generator on y^2 = x^3 + s^k (A s + B).
 
-    Returns None when criterion k (``CRITERIA[k]``) fails for (A, B).
-    Its cube root c and square root r give the point (``direct_point``);
-    when only -3 times the square value is a square, r lies in
-    Q(sqrt(-3)) and the rational witness is that point's descent
-    omega(P) + conj(omega(P)), written in closed form by
+    None when criterion k (``CRITERIA[k]``) fails in bd, the breakdown
+    of (A, B).  The cube root c and square root r stored in its reason
+    give the point (``direct_point``); when r^2 is -3 times the square
+    value, the naive point lies over Q(sqrt(-3)) and the rational
+    witness is its descent omega(P) + conj(omega(P)), in closed form by
     ``descended_point``.  The k = 3, 4 points are the k = 2, 1 points of
     the swapped pair (B, A) pushed through the parameter inversion
     s -> 1/s, (x, y) -> (s^2 x, s^3 y).
     """
-    A, B = Fraction(A), Fraction(B)
-    if A == 0 or B == 0:
-        raise ValueError("A and B must be nonzero")
     if k not in CRITERIA:
         raise ValueError("k must be 1, 2, 3 or 4")
-    values = criterion_values(A, B)
-    cube_name, square_name = CRITERIA[k]
-    c = is_kth_power(values[cube_name], 3)
-    if c is None:
+    reason = bd.reasons[k - 1]
+    if not reason.satisfied:
         return None
-    sq = is_square_or_neg3_square(values[square_name])
-    if sq.kind == "neither":
-        return None
-    twisted = sq.kind == "neg3_square"
+    A, B = bd.A, bd.B
+    c, r = reason.cube_root, reason.square_root
+    twisted = reason.square_kind == "neg3_square"
     base, (a, b) = (k, (A, B)) if k <= 2 else (5 - k, (B, A))
-    x, y = (descended_point(base, c, sq.root) if twisted
-            else direct_point(base, a, b, c, sq.root))
+    x, y = (descended_point(base, c, r) if twisted
+            else direct_point(base, a, b, c, r))
     point = _inverted_point(x, y, k)
     curve = FunctionFieldCurve.subfamily(A, B, k, 1)
     curve.require_on_curve(point)
@@ -349,20 +339,12 @@ def full_certificate(A, B) -> RankCertificate:
     """Breakdown plus one witness per satisfied criterion, with the checks
     of ``verify_certificate_json`` on the certificate's own JSON form."""
     bd = rank_breakdown(A, B)
-    witnesses = []
-    embedded = []
-    for comp in bd.reasons:
-        if not comp.satisfied:
-            continue
-        w = subfamily_generator(bd.A, bd.B, comp.k)
-        if w is None:
-            raise ArithmeticError(
-                f"criterion k={comp.k} satisfied but construction failed")
-        witnesses.append(w)
-        embedded.append(base_change_embed(w.point, (comp.k, 1), (0, 6)))
+    witnesses = tuple(subfamily_generator(bd, c.k)
+                      for c in bd.reasons if c.satisfied)
+    embedded = tuple(base_change_embed(w.point, (w.k, 1), (0, 6))
+                     for w in witnesses)
     cert = RankCertificate(A=bd.A, B=bd.B, rank=bd.rank, breakdown=bd,
-                           witnesses=tuple(witnesses),
-                           embedded=tuple(embedded), checks=())
+                           witnesses=witnesses, embedded=embedded, checks=())
     report = verify_certificate_json(certificate_to_json(cert))
     return replace(cert, checks=report.checks)
 
@@ -530,18 +512,18 @@ def verify_inclusion_chain(A, B) -> list:
     (A, B), verify the mapped point lands on the target curve.  Arrows
     without a generator are reported as skipped.
     """
-    A, B = Fraction(A), Fraction(B)
+    bd = rank_breakdown(A, B)
     results = []
     for source, target in INCLUSION_ARROWS:
         d, e = _base_change_exponents(source, target)
-        w = subfamily_generator(A, B, source[0])
+        w = subfamily_generator(bd, source[0])
         if w is None:
             results.append(InclusionResult(source, target, d, e,
                                            skipped=True, ok=True,
                                            mapped_point=None))
             continue
         mapped = base_change_embed(w.point, source, target)
-        tgt = FunctionFieldCurve.subfamily(A, B, *target)
+        tgt = FunctionFieldCurve.subfamily(bd.A, bd.B, *target)
         ok = not mapped.is_infinity and tgt.contains(mapped)
         results.append(InclusionResult(source, target, d, e,
                                        skipped=False, ok=ok,

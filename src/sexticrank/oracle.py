@@ -425,8 +425,9 @@ def point_height(P: CurvePoint) -> int:
     return worst
 
 
-def cross_validate(A, B, k: int, height: int = 12) -> CrossValidation:
-    """Search the appropriate shape and compare with the construction.
+def cross_validate(bd, k: int, height: int = 12) -> CrossValidation:
+    """Search the appropriate shape for the pair of the breakdown bd and
+    compare with the construction from bd; the search reads only A, B.
 
     Agreement means the bounded search never contradicts the rank
     criterion: a point is found exactly when the criterion holds and
@@ -435,10 +436,10 @@ def cross_validate(A, B, k: int, height: int = 12) -> CrossValidation:
     cannot be expected to see it; a miss then keeps ``agrees`` true
     but is flagged ``conclusive=False``.
     """
-    w = subfamily_generator(A, B, k)
+    w = subfamily_generator(bd, k)
     descent = w is not None and w.used_descent
     shape = (DESCENT_SHAPES if descent else DIRECT_SHAPES)[k]
-    found = search_points(A, B, k, shape, height)
+    found = search_points(bd.A, bd.B, k, shape, height)
     if w is None:
         agrees, conclusive = not found, True
     elif _canonical_sign(w.point) in found:
@@ -446,6 +447,6 @@ def cross_validate(A, B, k: int, height: int = 12) -> CrossValidation:
     else:
         conclusive = point_height(w.point) <= height
         agrees = not conclusive
-    return CrossValidation(Fraction(A), Fraction(B), k, w is not None, descent,
+    return CrossValidation(bd.A, bd.B, k, w is not None, descent,
                            None if w is None else w.point, found,
                            agrees=agrees, conclusive=conclusive)

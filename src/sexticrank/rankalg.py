@@ -47,7 +47,6 @@ __all__ = [
     "CASE_RANK",
     "ComponentReason",
     "RankBreakdown",
-    "criterion_values",
     "rank_breakdown",
     "NormalizedPair",
     "normalize_pair",
@@ -68,7 +67,8 @@ CUBE_AND_SQUARISH = (1, -27)
 QUADRUPLE_CUBE_SQUARISH = (16, -432)
 #: the root route's criteria: r_k = 1 when the first value named is a cube
 #: and the second, or -3 times it, a square.  The witness construction
-#: (``generators.subfamily_generator``) reads them too.  The class route
+#: (``generators.subfamily_generator``) takes its roots from the reasons
+#: that ``rank_breakdown`` stores, not from the criteria.  The class route
 #: (``_case``) keeps its own list, so that the census compares independent
 #: routes.
 CRITERIA = {1: ("4AB", "A"), 2: ("A", "B"), 3: ("B", "A"), 4: ("4AB", "B")}
@@ -96,11 +96,6 @@ class RankBreakdown:
     reasons: tuple
 
 
-def criterion_values(A: Fraction, B: Fraction) -> dict:
-    """The values that ``CRITERIA`` names, by name."""
-    return {"4AB": 4 * A * B, "A": A, "B": B}
-
-
 def rank_breakdown(A, B) -> RankBreakdown:
     """Evaluate the four rank criteria for nonzero rational A, B.
 
@@ -110,7 +105,7 @@ def rank_breakdown(A, B) -> RankBreakdown:
     A, B = Fraction(A), Fraction(B)
     if A == 0 or B == 0:
         raise ValueError("A and B must be nonzero")
-    values = criterion_values(A, B)
+    values = {"4AB": 4 * A * B, "A": A, "B": B}
     roots = {name: is_kth_power(v, 3) for name, v in values.items()}
     squares = {name: is_square_or_neg3_square(values[name]) for name in "AB"}
     reasons = tuple(ComponentReason(

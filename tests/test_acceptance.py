@@ -136,7 +136,7 @@ def test_criterion_6_descent_construction_50_pairs():
              for b in [n for n in range(-5, 6) if n]]
     assert len(pairs) == 50
     for A, B in pairs:
-        w = subfamily_generator(A, B, 3)
+        w = subfamily_generator(rank_breakdown(A, B), 3)
         assert w is not None and w.used_descent
         P = w.point
         assert not P.is_infinity
@@ -164,7 +164,7 @@ def test_criterion_7_oracle_sweep_bound_20():
                 assert bool(found) == direct, (A, B, reason.k)
                 if direct:
                     hits += 1
-                    w = subfamily_generator(A, B, reason.k)
+                    w = subfamily_generator(bd, reason.k)
                     target = {w.point, w.curve.negate(w.point)}
                     assert any(P in target for P in found), (A, B, reason.k)
     assert searches == len(vals) ** 2 * 4

@@ -444,6 +444,25 @@ def test_certify_json_bytes_pinned(A, B, capsys):
     assert digest == PINNED_CERTIFICATE_SHA256[(A, B)]
 
 
+#: sha256 of the stdouts of `certify A B --format json`, concatenated in
+#: order of A, then B, over every integer pair with |A|, |B| <= 40 and
+#: rank > 0: 141 certificates, 51 of them with a Galois-descent witness
+PINNED_CERTIFICATES_TO_40_SHA256 = (
+    "860d2ec8dfccc80ba5bca1284dad3aeaa536f0e4e1d8ad8bf1178d1ed8497bd5")
+
+
+def test_every_positive_rank_certificate_to_bound_40_pinned(capsys):
+    values = [v for v in range(-40, 41) if v]
+    pairs = [(A, B) for A in values for B in values
+             if rankalg.rank_breakdown(A, B).rank > 0]
+    assert len(pairs) == 141
+    digest = hashlib.sha256()
+    for A, B in pairs:
+        assert run_cli(["certify", str(A), str(B), "--format", "json"]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == PINNED_CERTIFICATES_TO_40_SHA256
+
+
 #: sha256 of the stdout of `certify --verify FILE`, in text and in
 #: `--format json`, on the certificate that `certify A B --output FILE`
 #: writes

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sexticrank import exactnum
 from sexticrank.exactnum import (
     MAX_LITERAL_DIGITS,
     OMEGA,
@@ -134,11 +135,16 @@ def test_factorint_known_values():
         factorint(0)
 
 
-def test_factorint_budget_error_is_typed():
-    # far beyond what deterministic primality certification covers
+def test_factorint_budget_error_is_typed(monkeypatch):
+    # far beyond what deterministic primality certification covers: it
+    # fails before rho runs
     n = (10 ** 59 + 213) * (10 ** 59 + 223)
-    with pytest.raises(FactorBudgetExceeded):
-        factorint(n, rho_budget=10)
+    with pytest.raises(FactorBudgetExceeded, match="cannot certify"):
+        factorint(n)
+    # a semiprime past trial division whose rho runs out of iterations
+    monkeypatch.setattr(exactnum, "_RHO_BUDGET", 1)
+    with pytest.raises(FactorBudgetExceeded, match="rho budget exhausted"):
+        factorint(1_000_003 * 1_000_033)
 
 
 # -- brute-force oracle for squares in Q(sqrt(-3)) --------------------------

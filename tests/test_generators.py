@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sexticrank import generators
+from sexticrank import cli, generators, rankalg
 from sexticrank.curve import CurvePoint, FunctionFieldCurve, O
 from sexticrank.exactnum import (OMEGA, QuadExt, is_kth_power,
                                   is_square_or_neg3_square)
@@ -28,7 +29,7 @@ from sexticrank.generators import (
     verify_certificate_json,
     verify_inclusion_chain,
 )
-from sexticrank.rankalg import CRITERIA, criterion_values, rank_breakdown
+from sexticrank.rankalg import CRITERIA, rank_breakdown
 
 
 def pt(xs, ys):
@@ -38,57 +39,63 @@ def pt(xs, ys):
 # -- closed-form points, direct cases -----------------------------------------
 
 def test_k1_direct_point():
-    w = subfamily_generator(1, 16, 1)
+    w = subfamily_generator(rank_breakdown(1, 16), 1)
     assert not w.used_descent
     assert w.point == pt("4", "s + 8")
     w.curve.require_on_curve(w.point)
 
 
 def test_k2_direct_point():
-    w = subfamily_generator(1, 16, 2)
+    w = subfamily_generator(rank_breakdown(1, 16), 2)
     assert w.point == pt("-s", "4*s")
 
 
 def test_k3_direct_point():
-    w = subfamily_generator(4, 1, 3)
+    w = subfamily_generator(rank_breakdown(4, 1), 3)
     assert w.point == pt("-s", "2*s^2")
 
 
 def test_k4_direct_point():
-    w = subfamily_generator(1, 16, 4)
+    w = subfamily_generator(rank_breakdown(1, 16), 4)
     assert w.point == pt("(1/4)*s^2", "4*s^2 + (1/8)*s^3")
 
 
 def test_generator_absent_when_criterion_fails():
-    assert subfamily_generator(1, 16, 3) is None  # 16 is not a cube
+    bd = rank_breakdown(1, 16)
+    assert subfamily_generator(bd, 3) is None  # 16 is not a cube
+    for k in (0, 5):
+        with pytest.raises(ValueError):
+            subfamily_generator(bd, k)
+    bd = rank_breakdown(2, 3)
     for k in (1, 2, 3, 4):
-        assert subfamily_generator(2, 3, k) is None
-    with pytest.raises(ValueError):
-        subfamily_generator(1, 16, 5)
-    with pytest.raises(ValueError):
-        subfamily_generator(0, 1, 1)
+        assert subfamily_generator(bd, k) is None
 
 
 @pytest.mark.parametrize("A,B", [(1, 16), (-27, -432), (2, 3), (8, 5),
                                  (16, 8), (-3, 1)])
-def test_generator_takes_one_cube_root_then_one_square_test(A, B, monkeypatch):
-    # the cube test of criterion k comes first, and a failed one ends it
+def test_roots_are_taken_once_per_breakdown(A, B, monkeypatch, capsys):
+    # the generator builds its point from the roots that rank_breakdown
+    # stored, so certify evaluates the root route once to build and once
+    # in the verifier, and oracle once for all four k
+    assert not hasattr(generators, "is_kth_power")
+    assert not hasattr(generators, "is_square_or_neg3_square")
     calls = []
+    real = rankalg.rank_breakdown
 
-    def counted(name, f):
-        def wrapper(*args):
-            calls.append(name)
-            return f(*args)
-        return wrapper
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
 
-    for name, f in (("cube", generators.is_kth_power),
-                    ("square", generators.is_square_or_neg3_square)):
-        monkeypatch.setattr(generators, f.__name__, counted(name, f))
-    for comp in rank_breakdown(A, B).reasons:
+    for module in list(sys.modules.values()):
+        if (module.__name__.partition(".")[0] == "sexticrank"
+                and getattr(module, "rank_breakdown", None) is real):
+            monkeypatch.setattr(module, "rank_breakdown", counted)
+    for argv, expected in ((["certify", str(A), str(B)], 2),
+                           (["oracle", str(A), str(B)], 1)):
         calls.clear()
-        subfamily_generator(A, B, comp.k)
-        cube = comp.cube_root is not None
-        assert calls == (["cube", "square"] if cube else ["cube"]), comp.k
+        assert cli.main(argv) == 0, argv
+        assert len(calls) == expected, argv
+    capsys.readouterr()
 
 
 # -- Galois descent -------------------------------------------------------------
@@ -98,7 +105,7 @@ def pre_descent(w):
     from: criterion k's direct point with r = (d/3)*sqrt(-3), where
     d^2 = -3 times the square value, inverted for k = 3, 4."""
     cube_name, square_name = CRITERIA[w.k]
-    values = criterion_values(w.A, w.B)
+    values = {"4AB": 4 * w.A * w.B, "A": w.A, "B": w.B}
     c = is_kth_power(values[cube_name], 3)
     d = is_square_or_neg3_square(values[square_name]).root
     base, (a, b) = (w.k, (w.A, w.B)) if w.k <= 2 else (5 - w.k, (w.B, w.A))
@@ -110,7 +117,7 @@ def pre_descent(w):
 
 def test_descent_regression_k3():
     # A = -3: only -3A = 9 is a square, so the naive point is twisted
-    w = subfamily_generator(-3, 1, 3)
+    w = subfamily_generator(rank_breakdown(-3, 1), 3)
     assert w.used_descent
     assert pre_descent(w) == CurvePoint(
         RatFunc(Poly([0, -1])),
@@ -121,14 +128,14 @@ def test_descent_regression_k3():
 
 def test_descent_k1_x_coordinate():
     # hand derivation: lambda = -9s/2 + 4/3, x = lambda^2 - 4/3
-    w = subfamily_generator(-27, 16, 1)
+    w = subfamily_generator(rank_breakdown(-27, 16), 1)
     assert w.used_descent
     assert w.point.x == parse_ratfunc("(81/4)*s^2 - 12*s + 4/9", var="s")
 
 
 def test_descent_combine_is_rational_and_nonzero():
     for (A, B, k) in [(-3, 1, 3), (-27, 16, 1), (-27, -432, 2), (-12, 2, 4)]:
-        w = subfamily_generator(A, B, k)
+        w = subfamily_generator(rank_breakdown(A, B), k)
         if w is None:
             continue
         assert w.used_descent
@@ -144,7 +151,7 @@ def test_descent_combine_is_rational_and_nonzero():
 
 def test_plain_trace_vanishes_in_descent_cases():
     # the reason the omega-twist is needed at all
-    w = subfamily_generator(-3, 1, 3)
+    w = subfamily_generator(rank_breakdown(-3, 1), 3)
     E = w.curve
     P = pre_descent(w)
     assert E.add(P, E.galois_conj_point(P)) == O
@@ -156,8 +163,9 @@ def test_descended_point_equals_group_law_descent():
     values = [v for v in range(-60, 61) if v]
     for A in values:
         for B in values:
+            bd = rank_breakdown(A, B)
             for k in (1, 2, 3, 4):
-                w = subfamily_generator(A, B, k)
+                w = subfamily_generator(bd, k)
                 if w is not None and w.used_descent:
                     counts[k] += 1
                     assert galois_descent_combine(w.curve, pre_descent(w)) \
@@ -183,7 +191,7 @@ def test_descended_point_lies_on_the_curve_identically(k):
 # -- base change ------------------------------------------------------------------
 
 def test_embed_to_sextic():
-    w = subfamily_generator(1, 16, 1)
+    w = subfamily_generator(rank_breakdown(1, 16), 1)
     W = base_change_embed(w.point, (1, 1), (0, 6))
     E = FunctionFieldCurve.sextic(1, 16)
     assert E.contains(W)
@@ -191,13 +199,13 @@ def test_embed_to_sextic():
 
 
 def test_embed_identity_map():
-    w = subfamily_generator(1, 16, 2)
+    w = subfamily_generator(rank_breakdown(1, 16), 2)
     same = base_change_embed(w.point, (2, 1), (2, 1))  # d=1, e=0
     assert same == w.point
 
 
 def test_embed_rejects_crooked_maps():
-    w = subfamily_generator(1, 16, 1)
+    w = subfamily_generator(rank_breakdown(1, 16), 1)
     with pytest.raises(ValueError):
         base_change_embed(w.point, (1, 1), (0, 2))  # twist (2*1-0)/6 not integral
     with pytest.raises(ValueError):
@@ -211,7 +219,7 @@ def test_eigenspace_identity_tags_the_component():
         for comp in bd.reasons:
             if not comp.satisfied:
                 continue
-            w = subfamily_generator(A, B, comp.k)
+            w = subfamily_generator(bd, comp.k)
             W = base_change_embed(w.point, (comp.k, 1), (0, 6))
             assert eigenspace_check(comp.k, W)
             for other in (1, 2, 3, 4):
@@ -311,7 +319,7 @@ def test_eigenspace_check_lifts_and_substitutes_nothing(monkeypatch):
 
 
 def test_multiples_nonzero():
-    w = subfamily_generator(1, 16, 2)
+    w = subfamily_generator(rank_breakdown(1, 16), 2)
     E = FunctionFieldCurve.sextic(1, 16)
     W = base_change_embed(w.point, (2, 1), (0, 6))
     assert multiples_nonzero(E, W, 6)
@@ -324,7 +332,7 @@ def test_multiples_nonzero():
 
 def test_multiples_nonzero_takes_one_running_sum(monkeypatch):
     # P, 2P, ..., 6P on the first smooth fibre: five additions, no doublings
-    w = subfamily_generator(1, 16, 2)
+    w = subfamily_generator(rank_breakdown(1, 16), 2)
     W = base_change_embed(w.point, (2, 1), (0, 6))
     calls = []
     add = FunctionFieldCurve.add
@@ -565,7 +573,7 @@ def test_generator_iff_criterion(pair):
     bd = rank_breakdown(A, B)
     E = FunctionFieldCurve.sextic(A, B)
     for comp in bd.reasons:
-        w = subfamily_generator(A, B, comp.k)
+        w = subfamily_generator(bd, comp.k)
         if not comp.satisfied:
             assert w is None
             continue

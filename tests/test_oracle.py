@@ -24,6 +24,7 @@ from sexticrank.oracle import (
     search_points,
     sigma_equations,
 )
+from sexticrank.rankalg import rank_breakdown
 
 
 def test_heights_ordered_small():
@@ -52,8 +53,9 @@ def test_heights_ordered_is_canonical(h):
 
 def test_one_height_builds_its_values_once():
     heights_ordered.cache_clear()
+    bd = rank_breakdown(8, 9)
     for k in (1, 2, 3, 4):
-        cross_validate(8, 9, k, height=5)
+        cross_validate(bd, k, height=5)
     assert heights_ordered.cache_info().misses == 1
 
 
@@ -323,7 +325,7 @@ def test_search_rejects_bad_arguments():
         with pytest.raises(ValueError, match="below 1"):
             search_points(1, 16, 1, DIRECT_SHAPES[1], height)
         with pytest.raises(ValueError, match="below 1"):
-            cross_validate(2, 3, 1, height=height)
+            cross_validate(rank_breakdown(2, 3), 1, height=height)
 
 
 def test_search_that_finds_nothing_builds_no_curve(monkeypatch):
@@ -356,9 +358,10 @@ CROSS_PAIRS = [(1, 16), (16, 1), (1, 1), (4, 4), (2, 1),
 @pytest.mark.parametrize("A,B", CROSS_PAIRS)
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_cross_validate_known_pairs(A, B, k):
-    cv = cross_validate(A, B, k, height=12)
+    bd = rank_breakdown(A, B)
+    cv = cross_validate(bd, k, height=12)
     assert cv.agrees
-    assert cv.satisfied == (subfamily_generator(A, B, k) is not None)
+    assert cv.satisfied == (subfamily_generator(bd, k) is not None)
     if cv.satisfied and cv.conclusive:
         assert cv.found
 
@@ -367,14 +370,14 @@ def test_cross_validate_inconclusive_when_generator_too_tall():
     # the descended generator here has coefficients up to 729/8, far
     # beyond any feasible enumeration height; the search must report
     # that it cannot settle the question rather than a false mismatch
-    cv = cross_validate(-27, 16, 1, height=12)
+    cv = cross_validate(rank_breakdown(-27, 16), 1, height=12)
     assert cv.satisfied and cv.used_descent
     assert not cv.conclusive and cv.agrees
     assert point_height(cv.constructed) == 729
 
 
 def test_cross_validate_full_shape_descent():
-    cv = cross_validate(-3, 18, 1, height=12)
+    cv = cross_validate(rank_breakdown(-3, 18), 1, height=12)
     assert cv.agrees and cv.used_descent
     assert [p.to_str("s") for p in cv.found] == [
         "((4/9)*s^2 - (8/3)*s + 1, (8/27)*s^3 - (8/3)*s^2 + 5*s + 1)"]
@@ -394,5 +397,5 @@ small_nonzero = st.integers(min_value=-30, max_value=30).filter(lambda n: n)
 @given(A=small_nonzero, B=small_nonzero, k=st.sampled_from([2, 3]))
 def test_cross_validate_matches_criterion(A, B, k):
     # k restricted to the cheap shapes so the property stays fast
-    cv = cross_validate(A, B, k, height=12)
+    cv = cross_validate(rank_breakdown(A, B), k, height=12)
     assert cv.agrees
