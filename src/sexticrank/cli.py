@@ -19,12 +19,8 @@ from collections import Counter
 from fractions import Fraction
 
 from .exactnum import parse_rational
-from .generators import (
-    certificate_to_json,
-    construction_text,
-    full_certificate,
-    verify_certificate_json,
-)
+from .generators import (construction_text, full_certificate,
+                         verify_certificate_json)
 from .oracle import MAX_HEIGHT, cross_validate
 from .rankalg import (CASE_RANK, CRITERIA, MAX_CENSUS_BOUND,
                       breakdown_to_json, census_blocks, rank_breakdown)
@@ -49,13 +45,14 @@ def positive_int(text: str) -> int:
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """ArgumentParser that reads "-p/q", like "-5", as a negative number
-    rather than an option, so it can be given as A or B.  argparse has no
-    public hook for this; its own pattern accepts only "-5" and "-.5"."""
+    """ArgumentParser that reads any "-" and then a digit or ".", such as
+    "-p/q" or "-1/-2", as a value rather than an option, so A or B takes
+    it and ``rational_arg`` accepts or names it.  argparse has no public
+    hook for this; its own pattern accepts only "-5" and "-.5"."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-\d+(?:/\d+)?$")
+        self._negative_number_matcher = re.compile(r"^-[\d.]")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -169,8 +166,7 @@ def cmd_certify(args) -> int:
 
     _require_nonzero(args)
     cert = full_certificate(args.A, args.B)
-    data = certificate_to_json(cert)
-    failures = [c.name for c in cert.checks if not c.passed]
+    data, failures = cert.data, cert.report.failures
     if args.output:
         try:
             with open(args.output, "w") as fh:
@@ -181,14 +177,13 @@ def cmd_certify(args) -> int:
     if args.format == "json":
         print(json.dumps(data, indent=2))
     else:
-        print(f"A = {cert.A}, B = {cert.B}: rank {cert.rank}")
+        print(f"A = {data['A']}, B = {data['B']}: rank {data['rank']}")
         for w, stored in zip(cert.witnesses, data["witnesses"]):
             print(f"witness k={w.k}: {stored['subfamily_point']}"
                   f" on {w.curve}")
-            print(f"  construction: {construction_text(w.k, w.used_descent)}"
-                  + (" (Galois descent)" if w.used_descent else ""))
+            print(f"  construction: {construction_text(w.k, w.used_descent)}")
             print(f"  embeds as {stored['embedded_point']}")
-        total = len(cert.checks)
+        total = len(data["checks"])
         print(f"checks passed: {total - len(failures)}/{total}")
         for name in failures:
             print(f"  FAILED: {name}")
@@ -217,22 +212,19 @@ def cmd_census(args) -> int:
     # rows per distinct ending: a row's last four characters hold
     # "rank\tcase", as the rank is one digit and a case label one or two
     # characters (a one-character label brings the tab before the rank).
-    # An ending is decoded the first time a block counts it; a block that
-    # counts a disagreeing one is read row by row, to name them in order.
+    # Each possible ending, a rank 0..3 and a case, is decoded up front to
+    # the rank and whether the case disagrees with it; a block that counts
+    # a disagreeing one is read row by row, to name them in order.
+    decoded = {f"\t{r}\t{case}"[-4:]: (r, r != CASE_RANK[case])
+               for case in CASE_RANK for r in range(4)}
+    bad = {ending for ending, (_, wrong) in decoded.items() if wrong}
     endings = Counter()
-    ranks = {}
-    bad = set()
     disagreements = []
     blocks = census_blocks(args.bound, args.jobs)
     try:
         for text, counts in blocks:
             sys.stdout.write(text)
             endings.update(counts)
-            for ending in counts.keys() - ranks.keys():
-                rank, case = ending.lstrip("\t").split("\t")
-                ranks[ending] = int(rank)
-                if CASE_RANK[case] != ranks[ending]:
-                    bad.add(ending)
             if not bad.isdisjoint(counts):
                 disagreements += [line.split("\t", 2)[:2] for line in
                                   text.splitlines() if line[-4:] in bad]
@@ -241,7 +233,7 @@ def cmd_census(args) -> int:
         blocks.close()
     histogram = Counter()
     for ending, count in endings.items():
-        histogram[ranks[ending]] += count
+        histogram[decoded[ending][0]] += count
     pairs = endings.total()
     print(f"# pairs {pairs}")
     print("# rank histogram "

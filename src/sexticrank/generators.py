@@ -21,7 +21,9 @@ law.  The upper bound is the rank theorem, which the census and the
 oracle cross-check.  ``verify_certificate_json`` is the one checker: it
 recomputes every check from the certificate's JSON alone, trusting
 nothing but the parsed point strings.  ``full_certificate`` constructs
-the points, serialises them and takes its checks from that verifier.
+the points, serialises them once (``certificate_to_json``), runs that
+verifier on the dict it built and stores the checks in it, so
+``certify`` prints the very certificate its verifier read.
 
 ``galois_descent_combine`` and ``multiples_nonzero`` take the descent
 sum and a point's multiples through the group law; no certificate
@@ -31,7 +33,7 @@ and the heights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import prod
@@ -72,8 +74,6 @@ class GeneratorWitness:
     over Q(sqrt(-3)) or criterion k's direct point."""
 
     k: int
-    A: Fraction
-    B: Fraction
     curve: FunctionFieldCurve
     point: CurvePoint
     used_descent: bool
@@ -93,8 +93,8 @@ _CONSTRUCTIONS = {
 def construction_text(k: int, used_descent: bool) -> str:
     """How criterion k's witness is built, as ``certify`` prints it."""
     if used_descent:
-        return (_CONSTRUCTIONS[k]
-                + "; then Galois descent: omega-twist plus its conjugate")
+        return (_CONSTRUCTIONS[k] + "; then Galois descent: omega-twist "
+                "plus its conjugate (Galois descent)")
     return _CONSTRUCTIONS[k]
 
 
@@ -124,7 +124,7 @@ def subfamily_generator(bd: RankBreakdown, k: int) -> Optional[GeneratorWitness]
     point = _inverted_point(x, y, k)
     curve = FunctionFieldCurve.subfamily(A, B, k, 1)
     curve.require_on_curve(point)
-    return GeneratorWitness(k=k, A=A, B=B, curve=curve, point=point,
+    return GeneratorWitness(k=k, curve=curve, point=point,
                             used_descent=twisted)
 
 
@@ -321,53 +321,6 @@ class CertificateCheck:
 
 
 @dataclass(frozen=True)
-class RankCertificate:
-    A: Fraction
-    B: Fraction
-    rank: int
-    breakdown: RankBreakdown
-    witnesses: tuple
-    embedded: tuple  # embedded points on the sextic curve, same order
-    checks: tuple
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
-def full_certificate(A, B) -> RankCertificate:
-    """Breakdown plus one witness per satisfied criterion, with the checks
-    of ``verify_certificate_json`` on the certificate's own JSON form."""
-    bd = rank_breakdown(A, B)
-    witnesses = tuple(subfamily_generator(bd, c.k)
-                      for c in bd.reasons if c.satisfied)
-    embedded = tuple(base_change_embed(w.point, (w.k, 1), (0, 6))
-                     for w in witnesses)
-    cert = RankCertificate(A=bd.A, B=bd.B, rank=bd.rank, breakdown=bd,
-                           witnesses=witnesses, embedded=embedded, checks=())
-    report = verify_certificate_json(certificate_to_json(cert))
-    return replace(cert, checks=report.checks)
-
-
-def certificate_to_json(cert: RankCertificate) -> dict:
-    return {
-        "A": str(cert.A),
-        "B": str(cert.B),
-        "rank": cert.rank,
-        "r": list(cert.breakdown.r),
-        "witnesses": [
-            {
-                "k": w.k,
-                "subfamily_point": w.point.to_str("s"),
-                "embedded_point": emb.to_str("t"),
-            }
-            for w, emb in zip(cert.witnesses, cert.embedded)
-        ],
-        "checks": [{"name": c.name, "passed": c.passed} for c in cert.checks],
-    }
-
-
-@dataclass(frozen=True)
 class VerificationReport:
     checks: tuple
 
@@ -378,6 +331,49 @@ class VerificationReport:
     @property
     def ok(self) -> bool:
         return not self.failures
+
+
+@dataclass(frozen=True)
+class RankCertificate:
+    """A certificate's JSON form, as ``certify`` prints it, with the
+    witnesses it was built from and the report that
+    ``verify_certificate_json`` made on that same dict."""
+
+    data: dict
+    witnesses: tuple
+    report: VerificationReport
+
+
+def full_certificate(A, B) -> RankCertificate:
+    """Breakdown plus one witness per satisfied criterion, serialised
+    once, verified by ``verify_certificate_json`` and given its checks."""
+    bd = rank_breakdown(A, B)
+    witnesses = tuple(subfamily_generator(bd, c.k)
+                      for c in bd.reasons if c.satisfied)
+    data = certificate_to_json(bd, witnesses)
+    report = verify_certificate_json(data)
+    data["checks"] = [asdict(c) for c in report.checks]
+    return RankCertificate(data, witnesses, report)
+
+
+def certificate_to_json(bd: RankBreakdown, witnesses) -> dict:
+    """The JSON form of bd and its witnesses, each embedded in the
+    sextic curve; ``full_certificate`` adds the checks last."""
+    return {
+        "A": str(bd.A),
+        "B": str(bd.B),
+        "rank": bd.rank,
+        "r": list(bd.r),
+        "witnesses": [
+            {
+                "k": w.k,
+                "subfamily_point": w.point.to_str("s"),
+                "embedded_point": base_change_embed(
+                    w.point, (w.k, 1), (0, 6)).to_str("t"),
+            }
+            for w in witnesses
+        ],
+    }
 
 
 def _field(obj, name: str, kind: type):

@@ -18,8 +18,7 @@ from sexticrank.cli import main
 from sexticrank.curve import CurvePoint
 from sexticrank.exactnum import MAX_LITERAL_DIGITS
 from sexticrank.funcfield import parse_point
-from sexticrank.generators import (certificate_to_json, full_certificate,
-                                   verify_certificate_json)
+from sexticrank.generators import full_certificate, verify_certificate_json
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 
@@ -210,6 +209,20 @@ def test_certify_output_verify_roundtrip(tmp_path, capsys):
     assert "DOES NOT verify" in out
 
 
+@pytest.mark.parametrize("A,B", [(8, 9), (-27, -432)])
+def test_certify_prints_the_certificate_it_writes(A, B, tmp_path, capsys):
+    # one serialisation: stdout and --output carry the same bytes, and
+    # --verify lists the checks stored in the file, in the same order
+    path = tmp_path / "cert.json"
+    assert run_cli(["certify", str(A), str(B), "--format", "json",
+                    "--output", str(path)]) == 0
+    assert capsys.readouterr().out == path.read_text()
+    assert run_cli(["certify", "--verify", str(path), "--format", "json"]) == 0
+    verified = json.loads(capsys.readouterr().out)["checks"]
+    stored = json.loads(path.read_text())["checks"]
+    assert [c["name"] for c in verified] == [c["name"] for c in stored]
+
+
 def test_certify_verify_unreadable_file(tmp_path, capsys):
     assert run_cli(["certify", "--verify", str(tmp_path / "missing.json")]) == 2
 
@@ -251,10 +264,19 @@ def test_certify_verify_refuses_pair_and_output(extra, tmp_path, capsys,
      "sexticrank oracle: error: --height is above the limit of 20"),
     (["census", "--bound", "2", "--format", "tsv"],
      "sexticrank: error: unrecognized arguments: --format tsv"),
+    (["rank", "1", "-1.5"], "sexticrank rank: error: argument B: '-1.5' "
+     "is not an integer or p/q rational literal"),
+    (["rank", "1", "-1/-2"], "sexticrank rank: error: argument B: '-1/-2' "
+     "is not an integer or p/q rational literal"),
+    (["oracle", "-1/-2", "3"], "sexticrank oracle: error: argument A: "
+     "'-1/-2' is not an integer or p/q rational literal"),
+    (["certify", "1", "-0x10"], "sexticrank certify: error: argument B: "
+     "'-0x10' is not an integer or p/q rational literal"),
 ], ids=["rank-A-zero", "rank-B-zero", "certify-no-pair", "certify-A-zero",
         "certify-B-zero", "certify-verify-missing-file", "census-bound-cap",
         "oracle-A-zero", "oracle-B-zero", "oracle-height-cap",
-        "census-format"])
+        "census-format", "rank-negative-decimal", "rank-negative-denominator",
+        "oracle-negative-denominator", "certify-negative-hex"])
 def test_usage_errors(argv, message, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run_cli(argv) == 2
@@ -669,7 +691,7 @@ def test_rank_bytes_pinned(A, B, capsys):
 
 @pytest.fixture(scope="module")
 def cert_1_16():
-    return certificate_to_json(full_certificate(1, 16))
+    return full_certificate(1, 16).data
 
 
 def verify_in_subprocess(tmp_path, data):
@@ -722,7 +744,7 @@ def test_verify_embedded_point_at_infinity_fails_the_height(
 
 @pytest.fixture(scope="module")
 def cert_neg3_1():
-    return certificate_to_json(full_certificate(-3, 1))
+    return full_certificate(-3, 1).data
 
 
 def _negated_y(text, var):
@@ -750,7 +772,7 @@ def _stored_field_changes(data):
 
 @pytest.mark.parametrize("pair", [(1, 16), (-3, 1)], ids=["1-16", "neg3-1"])
 def test_verify_checks_every_stored_field(pair):
-    data = certificate_to_json(full_certificate(*pair))
+    data = full_certificate(*pair).data
     assert verify_certificate_json(data).ok
     for what, changed in _stored_field_changes(data):
         assert not verify_certificate_json(changed).ok, what
@@ -758,7 +780,7 @@ def test_verify_checks_every_stored_field(pair):
 
 @pytest.mark.parametrize("pair", [(1, 16), (-3, 1)], ids=["1-16", "neg3-1"])
 def test_verify_ignores_stored_results_and_other_fields(pair):
-    data = certificate_to_json(full_certificate(*pair))
+    data = full_certificate(*pair).data
     report = verify_certificate_json(data)
     for i, c in enumerate(data["checks"]):
         flipped = json.loads(json.dumps(data))
