@@ -155,8 +155,9 @@ class FunctionFieldCurve:
         return f"FunctionFieldCurve({self.C!r})"
 
     def __str__(self):
-        v = self.var
-        return f"y^2 = x^3 + {self.C.to_str(v)}"
+        c = self.C.to_str(self.var)
+        sign, c = ("-", c[1:]) if c.startswith("-") else ("+", c)
+        return f"y^2 = x^3 {sign} {c}"
 
     # -- membership and the group law ------------------------------------------
 

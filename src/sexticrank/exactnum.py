@@ -20,6 +20,7 @@ from typing import NamedTuple, Optional, Union
 RationalLike = Union[int, Fraction]
 
 __all__ = [
+    "excerpt",
     "parse_rational",
     "is_kth_power",
     "SquareTest",
@@ -45,12 +46,21 @@ _RATIONAL = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 MAX_LITERAL_DIGITS = 2000
 
 
+def excerpt(value) -> str:
+    """repr of value, or of a longer text's first 40 characters and length."""
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) <= 40:
+        return repr(value)
+    return f"{text[:40]!r}... ({len(text)} characters)"
+
+
 def parse_rational(text: str) -> Fraction:
     """Exact rational literal: an integer or p/q of at most
     MAX_LITERAL_DIGITS digits.  No floats; ValueError for anything else,
     including a zero denominator."""
     if not _RATIONAL.match(text):
-        raise ValueError(f"{text!r} is not an integer or p/q rational literal")
+        raise ValueError(f"{excerpt(text)} is not an integer or p/q rational "
+                         "literal")
     digits = sum(map(str.isdigit, text))
     if digits > MAX_LITERAL_DIGITS:
         raise ValueError(f"literal has {digits} digits, above the limit "
@@ -58,7 +68,7 @@ def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text)
     except ZeroDivisionError:
-        raise ValueError(f"{text!r} has a zero denominator")
+        raise ValueError(f"{excerpt(text)} has a zero denominator")
 
 
 # ---------------------------------------------------------------------------

@@ -6,17 +6,16 @@ Each coefficient carries its own type: ``int`` becomes
 arithmetic as they do on their own.  The commands compute over Q;
 Q(sqrt(-3)) serves the group-law references that the tests compare the
 closed forms with.  On top sit a text form ("(3/2)*t^2 - 1") and a
-parser for it over Q, used by the certificate files so that a saved
-point can be re-read and re-checked from scratch.
+reader for the one shape of it that certificate points take, over Q
+and over a power of the variable, so a saved point can be re-checked.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional
 
-from .exactnum import QuadExt, square_and_multiply
+from .exactnum import QuadExt, excerpt, square_and_multiply
 
 __all__ = [
     "Poly",
@@ -143,11 +142,6 @@ class Poly:
         return Poly(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        return square_and_multiply(Poly.constant(1), self, n)
 
     def __divmod__(self, other: "Poly"):
         if other.is_zero():
@@ -461,220 +455,78 @@ def restrict_to_rational(f: RatFunc) -> RatFunc:
 
 
 # ---------------------------------------------------------------------------
-# parsing
+# reading points back
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_]\w*)|([-+*/^(),]))")
-
-#: largest numerator or denominator degree, and exponent, that the parser
+#: largest degree, of a term or of the denominator, that the reader
 #: builds; certificate points need at most 18
 MAX_PARSE_DEGREE = 64
-#: largest coefficient size in bits that the parser lets a power reach;
-#: the display form raises only the variable to a power
-MAX_PARSE_BITS = 1 << 16
-#: deepest nesting of parentheses that the parser descends into; each
-#: level costs five stack frames, and certificate points need at most 3
-MAX_PARSE_DEPTH = 64
-#: most tokens the lexer reads from one text; every token can cost an
-#: operation on rational functions, and the certificate points of every
-#: pair with |A|, |B| <= 60 have at most 72
-MAX_PARSE_TOKENS = 4096
+#: most terms the reader takes in one coordinate; every certificate
+#: point of a pair with |A|, |B| <= 60 has at most 4 per coordinate
+MAX_PARSE_TERMS = 4
 
 
-def _check_degree(bound: int):
-    """Refuse, before computing it, a result whose degree may pass the cap."""
-    if bound > MAX_PARSE_DEGREE:
-        raise ValueError(f"degree or exponent {bound} is above the parser's limit "
+def _power(text: str, var: str, what: str) -> int:
+    """k of "var" or "var^k", refused above MAX_PARSE_DEGREE."""
+    base, caret, k = text.partition("^")
+    if base != var or caret and not k.isdecimal():
+        raise ValueError(f"{what} {excerpt(text)} is not a power of {var}")
+    k = int(k) if caret else 1
+    if k > MAX_PARSE_DEGREE:
+        raise ValueError(f"degree {k} is above the reader's limit "
                          f"of {MAX_PARSE_DEGREE}")
+    return k
 
 
-def _check_bits(bound: int):
-    if bound > MAX_PARSE_BITS:
-        raise ValueError(f"power with coefficients of up to {bound} bits is above "
-                         f"the parser's limit of {MAX_PARSE_BITS}")
+def _term(text: str, var: str) -> tuple:
+    """(k, c) of an unsigned term "c", "var^k" or "c*var^k", with c an
+    integer or p/q (in parentheses before a power)."""
+    coeff, star, power = text.partition("*")
+    if not star and text.startswith(var):
+        coeff, power = "1", text
+    k = _power(power, var, "term") if power or star else 0
+    p, slash, q = coeff.strip("()").partition("/")
+    den = int(q) if q.isdecimal() else (0 if slash else 1)
+    if not (p.isdecimal() and den):
+        raise ValueError(f"coefficient {excerpt(coeff)} is not an integer "
+                         "or p/q with q > 0")
+    return k, Fraction(int(p), den)
 
 
-def _size(f: RatFunc) -> int:
-    return max(f.num.degree, f.den.degree)
+def parse_ratfunc(text: str, var: str) -> RatFunc:
+    """f from ``f.to_str(var)``, for f over Q with a power of var as
+    denominator.  More than MAX_PARSE_TERMS terms, a degree above
+    MAX_PARSE_DEGREE and any other denominator are refused before any
+    arithmetic; each integer is read by ``int``, within the interpreter's
+    int/str digit limit.  The text must be exactly what ``to_str``
+    writes for f, so f has one text, and no gcd is taken."""
+    num, slash, den = text.rpartition("/(")
+    if slash:
+        e = _power(den[:-1], var, "denominator")
+        num = num[1:-1] if num.startswith("(") else num
+    else:
+        num, e = text, 0
+    if num.count(" ") > 2 * (MAX_PARSE_TERMS - 1):
+        raise ValueError(f"{excerpt(text)} has more than {MAX_PARSE_TERMS} "
+                         "terms, above the reader's limit")
+    words = ("- " + num[1:] if num.startswith("-") else "+ " + num).split(" ")
+    coeffs = [Fraction(0)] * (MAX_PARSE_DEGREE + 1)
+    for sign, body in zip(words[::2], words[1::2]):
+        k, c = _term(body, var)
+        coeffs[k] = -c if sign == "-" else c
+    f = RatFunc(Poly(coeffs), Poly.monomial(1, e))
+    if f.to_str(var) != text:
+        raise ValueError(f"{excerpt(text)} is not canonical; it is "
+                         f"written {excerpt(f.to_str(var))}")
+    return f
 
 
-def _bits(p: Poly) -> int:
-    """A count b such that the numerator and denominator of every
-    coefficient of p^n together have at most n*b bits: the bits of all
-    of p's coefficients and one more for each, plus the growth from
-    summing products."""
-    return len(p.coeffs).bit_length() + 2 + sum(
-        c.numerator.bit_length() + c.denominator.bit_length() + 1
-        for c in p.coeffs)
-
-
-def _lex(text: str) -> list:
-    """The tokens of text, refused before any arithmetic once there are
-    more than MAX_PARSE_TOKENS."""
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ValueError(f"bad character at {text[pos:]!r}")
-            break
-        if len(tokens) == MAX_PARSE_TOKENS:
-            raise ValueError(f"more than {MAX_PARSE_TOKENS} tokens, above "
-                             "the parser's limit")
-        if m.group(1):
-            tokens.append(("int", int(m.group(1))))
-        elif m.group(2):
-            tokens.append(("name", m.group(2)))
-        else:
-            tokens.append(("op", m.group(3)))
-        pos = m.end()
-    return tokens
-
-
-class _Parser:
-    """Recursive descent over +, -, *, /, ^, parentheses, integers and
-    one free variable, building over Q.  The grammar has no functions,
-    so a name followed by "(", such as sqrt, is refused."""
-
-    def __init__(self, tokens: list, var: Optional[str]):
-        self.tokens = tokens
-        self.pos = 0
-        self.var = var
-        self.depth = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None)
-
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def expect(self, op: str):
-        kind, val = self.take()
-        if kind != "op" or val != op:
-            raise ValueError(f"expected {op!r}, got {val!r}")
-
-    def parse(self) -> RatFunc:
-        v = self.expr()
-        if self.pos != len(self.tokens):
-            raise ValueError(f"trailing input from {self.tokens[self.pos]}")
-        return v
-
-    def expr(self) -> RatFunc:
-        v = self.term()
-        while True:
-            kind, op = self.peek()
-            if kind == "op" and op in "+-":
-                self.pos += 1
-                w = self.term()
-                _check_degree(_size(v) + _size(w))
-                v = v + w if op == "+" else v - w
-            else:
-                return v
-
-    def term(self) -> RatFunc:
-        v = self.unary()
-        while True:
-            kind, op = self.peek()
-            if kind == "op" and op in "*/":
-                self.pos += 1
-                w = self.unary()
-                _check_degree(_size(v) + _size(w))
-                v = v * w if op == "*" else v / w
-            else:
-                return v
-
-    def unary(self) -> RatFunc:
-        sign = 1
-        while True:
-            kind, op = self.peek()
-            if kind == "op" and op in "+-":
-                self.pos += 1
-                if op == "-":
-                    sign = -sign
-            else:
-                break
-        v = self.power()
-        return v if sign > 0 else -v
-
-    def power(self) -> RatFunc:
-        v = self.atom()
-        kind, op = self.peek()
-        if kind == "op" and op == "^":
-            self.pos += 1
-            n = self.exponent()
-            _check_degree(abs(n) * max(_size(v), 1))
-            _check_bits(abs(n) * (_bits(v.num) + _bits(v.den)))
-            v = v ** n
-        return v
-
-    def exponent(self) -> int:
-        sign = 1
-        kind, val = self.take()
-        if kind == "op" and val in "+-":
-            sign = -1 if val == "-" else 1
-            kind, val = self.take()
-        if kind != "int":
-            raise ValueError(f"expected integer exponent, got {val!r}")
-        return sign * val
-
-    def parenthesized(self) -> RatFunc:
-        """The expression after an opening parenthesis, and its closing one."""
-        self.depth += 1
-        if self.depth > MAX_PARSE_DEPTH:
-            raise ValueError(f"parentheses nested above the parser's limit "
-                             f"of {MAX_PARSE_DEPTH}")
-        v = self.expr()
-        self.expect(")")
-        self.depth -= 1
-        return v
-
-    def atom(self) -> RatFunc:
-        kind, val = self.take()
-        if kind == "int":
-            return RatFunc.constant(val)
-        if kind == "op" and val == "(":
-            return self.parenthesized()
-        if kind == "name":
-            if self.var is None and self.peek() != ("op", "("):
-                self.var = val
-            if val == self.var:
-                return RatFunc.variable()
-            where = f" (variable is {self.var!r})" if self.var else ""
-            raise ValueError(f"unexpected name {val!r}{where}")
-        raise ValueError(f"unexpected token {val!r}")
-
-
-def parse_ratfunc(text: str, var: Optional[str] = None) -> RatFunc:
-    """Parse the display form back into a RatFunc over Q.
-
-    The variable name is inferred from the first identifier unless
-    pinned with ``var``.
-    """
-    return _Parser(_lex(text), var).parse()
-
-
-def parse_point(text: str, var: Optional[str] = None):
-    """Parse "(x, y)" with x and y in the display grammar, or "O".
-
-    x and y share one variable: the pinned var, or else the one x names
-    (or, for a constant x, the one y names)."""
-    s = text.strip()
-    if s == "O":
+def parse_point(text: str, var: str):
+    """Read back ``P.to_str(var)``: "O" as None, "(x, y)" as the pair of
+    coordinates, each read by :func:`parse_ratfunc`."""
+    if text == "O":
         return None
-    if not (s.startswith("(") and s.endswith(")")):
-        raise ValueError(f"point must look like (x, y), got {text!r}")
-    body = _lex(s)[1:-1]
-    depth = 0
-    for i, tok in enumerate(body):
-        if tok == ("op", "("):
-            depth += 1
-        elif tok == ("op", ")"):
-            depth -= 1
-        elif tok == ("op", ",") and depth == 0:
-            parser = _Parser(body[:i], var)
-            x = parser.parse()
-            return x, _Parser(body[i + 1:], parser.var).parse()
-    raise ValueError(f"no top-level comma in point {text!r}")
+    x, comma, y = text[1:-1].partition(", ")
+    if not (text.startswith("(") and text.endswith(")") and comma):
+        raise ValueError(f"{excerpt(text)} is not O or (x, y)")
+    return parse_ratfunc(x, var), parse_ratfunc(y, var)

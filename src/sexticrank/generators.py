@@ -20,10 +20,12 @@ regulator is the product of their heights.  No check uses the group
 law.  The upper bound is the rank theorem, which the census and the
 oracle cross-check.  ``verify_certificate_json`` is the one checker: it
 recomputes every check from the certificate's JSON alone, trusting
-nothing but the parsed point strings.  ``full_certificate`` constructs
-the points, serialises them once (``certificate_to_json``), runs that
-verifier on the dict it built and stores the checks in it, so
-``certify`` prints the very certificate its verifier read.
+nothing but the point strings, which it reads only as the one text
+``CurvePoint.to_str`` writes (in s, and in t once embedded).
+``full_certificate`` constructs the points, serialises them once
+(``certificate_to_json``), runs that verifier on the dict it built and
+stores the checks in it, so ``certify`` prints the very certificate its
+verifier read.
 
 ``galois_descent_combine`` and ``multiples_nonzero`` take the descent
 sum and a point's multiples through the group law; no certificate
@@ -40,7 +42,7 @@ from math import prod
 from typing import Optional
 
 from .curve import LEGAL_KM, CurvePoint, FunctionFieldCurve, O
-from .exactnum import parse_rational
+from .exactnum import excerpt, parse_rational
 from .funcfield import Poly, RatFunc, parse_point, restrict_to_rational
 from .rankalg import CRITERIA, RankBreakdown, rank_breakdown
 
@@ -94,7 +96,7 @@ def construction_text(k: int, used_descent: bool) -> str:
     """How criterion k's witness is built, as ``certify`` prints it."""
     if used_descent:
         return (_CONSTRUCTIONS[k] + "; then Galois descent: omega-twist "
-                "plus its conjugate (Galois descent)")
+                "plus its conjugate")
     return _CONSTRUCTIONS[k]
 
 
@@ -382,20 +384,23 @@ def _field(obj, name: str, kind: type):
         raise ValueError(f"no field {name!r}")
     value = obj[name]
     if not isinstance(value, kind):
-        raise ValueError(f"field {name!r} is {value!r}, not a {kind.__name__}")
+        raise ValueError(f"field {name!r} is {excerpt(value)}, "
+                         f"not a {kind.__name__}")
     return value
 
 
-def _rational_field(obj, name: str) -> Fraction:
+def _read_field(obj, name: str, read, *args):
+    """read(obj[name], *args) of a text field, naming it in a ValueError."""
     text = _field(obj, name, str)
     try:
-        return parse_rational(text)
+        return read(text, *args)
     except ValueError as exc:
         raise ValueError(f"field {name!r}: {exc}")
 
 
-def _parse_rational_point(text: str) -> CurvePoint:
-    parsed = parse_point(text)
+def _point_field(obj, name: str, var: str) -> CurvePoint:
+    """obj[name], a point as ``CurvePoint.to_str(var)`` writes it."""
+    parsed = _read_field(obj, name, parse_point, var)
     return O if parsed is None else CurvePoint(*parsed)
 
 
@@ -407,13 +412,14 @@ def verify_certificate_json(data) -> VerificationReport:
     subfamily_point and embedded_point, and recomputes every check from
     them; the stored check results and any other field prove nothing.  A
     malformed field, a stored rank or r that differs from the recomputed
-    one, and a point that does not parse each add one named failed
-    check, and only when they fail, so a certificate that verifies gets
-    exactly the check names stored in it.
+    one, and a point not written as ``to_str`` writes it each add one
+    named failed check, and only when they fail, so a certificate that
+    verifies gets exactly the check names stored in it.  A name quotes
+    at most 40 characters of any input (``excerpt``).
     """
     try:
-        A = _rational_field(data, "A")
-        B = _rational_field(data, "B")
+        A = _read_field(data, "A", parse_rational)
+        B = _read_field(data, "B", parse_rational)
         witnesses = _field(data, "witnesses", list)
         # more witnesses than criteria cannot have distinct indices, so
         # refuse them before parsing any point
@@ -439,11 +445,12 @@ def verify_certificate_json(data) -> VerificationReport:
         k = wd.get("k") if isinstance(wd, dict) else None
         try:
             if type(k) is not int or k not in (1, 2, 3, 4):
-                raise ValueError(f"field 'k' is {k!r}, not 1, 2, 3 or 4")
+                k = excerpt(k)
+                raise ValueError(f"field 'k' is {k}, not 1, 2, 3 or 4")
             ks.append(k)
             sub = FunctionFieldCurve.subfamily(A, B, k, 1)
-            point = _parse_rational_point(_field(wd, "subfamily_point", str))
-            emb = _parse_rational_point(_field(wd, "embedded_point", str))
+            point = _point_field(wd, "subfamily_point", "s")
+            emb = _point_field(wd, "embedded_point", "t")
             check(f"k={k}: point on subfamily curve", sub.contains(point))
             check(f"k={k}: point is nonzero", not point.is_infinity)
             on_sextic = E.contains(emb)

@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from sexticrank import cli, exactnum, rankalg
 from sexticrank.cli import main
 from sexticrank.curve import CurvePoint
 from sexticrank.exactnum import MAX_LITERAL_DIGITS
-from sexticrank.funcfield import parse_point
+from sexticrank.funcfield import Poly, parse_point
 from sexticrank.generators import full_certificate, verify_certificate_json
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -161,10 +162,10 @@ def test_certify_text_descent_witness(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out == [
         "A = -3, B = 1: rank 1",
-        "witness k=3: (4*s^2 - s, 8*s^3 - 3*s^2) on y^2 = x^3 + -3*s^4 + s^3",
+        "witness k=3: (4*s^2 - s, 8*s^3 - 3*s^2) on y^2 = x^3 - 3*s^4 + s^3",
         "  construction: parameter inversion of the k=2 point of the swapped "
         "pair: x = -cbrt(B)*s, y = sqrt(A)*s^2; then Galois descent: "
-        "omega-twist plus its conjugate (Galois descent)",
+        "omega-twist plus its conjugate",
         "  embeds as (4*t^6 - 1, 8*t^9 - 3*t^3)",
         "checks passed: 9/9",
         "re-verification from JSON: ok",
@@ -694,15 +695,15 @@ def cert_1_16():
     return full_certificate(1, 16).data
 
 
-def verify_in_subprocess(tmp_path, data):
-    """certify --verify on data in a fresh interpreter, 30 s at most;
-    returns the names of the failed checks."""
+def verify_in_subprocess(tmp_path, data, timeout=30):
+    """certify --verify on data in a fresh interpreter, timeout seconds
+    at most; returns the names of the failed checks."""
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(data))
     proc = subprocess.run(
         [sys.executable, "-m", "sexticrank.cli", "certify", "--verify",
          str(path)],
-        capture_output=True, text=True, timeout=30, env=CHILD_ENV)
+        capture_output=True, text=True, timeout=timeout, env=CHILD_ENV)
     assert "Traceback" not in proc.stderr
     assert proc.returncode == 1
     lines = proc.stdout.splitlines()
@@ -794,7 +795,7 @@ def test_verify_ignores_stored_results_and_other_fields(pair):
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_verify_refuses_a_sqrt_point_cleanly(fmt, cert_neg3_1, capsys,
                                              tmp_path):
-    # the parser reads Q only, so sqrt(-3) is a name it does not know
+    # the reader builds over Q only, so sqrt(-3) is no coefficient
     data = _with("subfamily_point", "(s, sqrt(-3)*s^2)", witness=0)(cert_neg3_1)
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(data))
@@ -807,7 +808,8 @@ def test_verify_refuses_a_sqrt_point_cleanly(fmt, cert_neg3_1, capsys,
         failed = [line[len("FAIL "):] for line in out.splitlines()
                   if line.startswith("FAIL ")]
     assert failed == [
-        "k=3: parse/verify error: unexpected name 'sqrt' (variable is 's')"]
+        "k=3: parse/verify error: field 'subfamily_point': coefficient "
+        "'sqrt(-3)' is not an integer or p/q with q > 0"]
     assert err == ""
 
 
@@ -833,27 +835,111 @@ def test_commands_construct_no_quadext(monkeypatch, tmp_path, capsys):
     assert len(made) == 0
 
 
-# the third point's x would be an integer of 2^30 bits, and the last
-# one's 200 KB sum costs a rational function addition per token
-@pytest.mark.parametrize("point", [
+#: the texts of points whose value would be huge: the third x is an
+#: integer of 2^30 bits, and the last is a 200 KB sum
+HUGE_POINTS = [
     "((s+1)^100000, s + 8)", "(s^20000, s + 8)",
     "(((((2^64)^64)^64)^64)^64, s + 8)",
-    pytest.param("(" + "+".join(["s"] * 100_000) + ", 1)",
-                 id="sum-of-100000-terms")])
-def test_verify_huge_degree_point_ends_quickly(point, cert_1_16, tmp_path):
+    "(" + "+".join(["s"] * 100_000) + ", 1)"]
+
+
+@pytest.mark.parametrize("point,named", zip(HUGE_POINTS, [
+    "coefficient '(s+1)^100000' is not an integer or p/q",
+    "degree 20000 is above the reader's limit of 64",
+    "coefficient '((((2^64)^64)^64)^64)^64' is not an integer or p/q",
+    "(199999 characters) is not a power of s",
+]), ids=[*HUGE_POINTS[:3], "sum-of-100000-terms"])
+def test_verify_huge_degree_point_ends_quickly(point, named, cert_1_16,
+                                               tmp_path):
     failures = verify_in_subprocess(
         tmp_path, _with("subfamily_point", point, witness=0)(cert_1_16))
-    assert any("parse/verify error" in name and "limit" in name
+    assert any(name.startswith("k=1: parse/verify error: field "
+                               "'subfamily_point': ") and named in name
                for name in failures), failures
 
 
+def test_check_names_quote_a_bounded_excerpt(cert_1_16):
+    long = "+".join(["s"] * 100_000)
+    for mutate in [_with("subfamily_point", f"({long}, 1)", witness=0),
+                   _with("embedded_point", f"({long}, 1)", witness=1),
+                   _with("k", long, witness=2), _with("A", long),
+                   _with("witnesses", long)]:
+        report = verify_certificate_json(mutate(cert_1_16))
+        assert not report.ok
+        assert all(len(c.name) < 200 for c in report.checks), report.failures
+
+
 def test_verify_point_with_large_coprime_denominators_ends(cert_1_16, tmp_path):
-    # passes the degree cap; the curve test must not run a gcd on x^3
+    # only a power of s is a denominator, so no gcd is ever run on input
     x = " + ".join(f"1/(s+{i})" for i in range(1, 33))
     point = f"({x}, s^32/(s-1)^31)"
     failures = verify_in_subprocess(
         tmp_path, _with("subfamily_point", point, witness=0)(cert_1_16))
-    assert "k=1: point on subfamily curve" in failures
+    assert failures == ["k=1: parse/verify error: field 'subfamily_point': "
+                        "denominator 's+32' is not a power of s"]
+
+
+def _dense_in_s(rng, digits, fractions):
+    """A dense polynomial of degree 32 in s, as to_str writes it, with
+    random coefficients whose numerators (and denominators, if
+    fractions) have the given number of digits."""
+    def draw():
+        return rng.randrange(10 ** (digits - 1), 10 ** digits)
+    return Poly([Fraction(draw(), draw() if fractions else 1)
+                 for _ in range(33)]).to_str("s")
+
+
+def _stall_point(kind):
+    rng = random.Random(kind)
+    if kind == "dense-1000-digit-fractions":
+        return (f"({_dense_in_s(rng, 1000, True)}, "
+                f"{_dense_in_s(rng, 1000, True)})")
+    digits = 20 if kind == "ratio-20-digits" else 1000
+    num, den = (_dense_in_s(rng, digits, False) for _ in range(2))
+    return f"(({num})/({den}), s + 8)"
+
+
+@pytest.mark.parametrize("kind,named", [
+    ("ratio-20-digits", "is not a power of s"),
+    ("ratio-1000-digits", "is not a power of s"),
+    ("dense-1000-digit-fractions", "has more than 4 terms"),
+], ids=["ratio-20-digits", "ratio-1000-digits", "dense-1000-digit-fractions"])
+def test_verify_dense_point_is_refused_within_5_s(kind, named, cert_1_16,
+                                                  tmp_path):
+    # reducing a general quotient takes a gcd of dense polynomials, and
+    # the curve test on a dense point cubes 33 terms of 2,000-digit
+    # fractions: each costs seconds to minutes, so each is refused first
+    point = _stall_point(kind)
+    failures = verify_in_subprocess(
+        tmp_path, _with("subfamily_point", point, witness=0)(cert_1_16),
+        timeout=5)
+    assert len(failures) == 1, failures
+    assert failures[0].startswith(
+        "k=1: parse/verify error: field 'subfamily_point': ")
+    assert named in failures[0]
+
+
+def test_verify_refuses_an_equal_but_non_canonical_point(cert_1_16, tmp_path):
+    assert cert_1_16["witnesses"][0]["subfamily_point"] == "(4, s + 8)"
+    failures = verify_in_subprocess(
+        tmp_path, _with("subfamily_point", "(4, 8 + s)", witness=0)(cert_1_16))
+    assert failures == ["k=1: parse/verify error: field 'subfamily_point': "
+                        "'8 + s' is not canonical; it is written 's + 8'"]
+
+
+def test_certificate_with_literals_of_900_digits_verifies(tmp_path, capsys):
+    # its coefficients are p/q with p and q together past MAX_LITERAL_DIGITS
+    u, v = 10 ** 150 + 7, 10 ** 150 + 3
+    A, B = str(-27 * u ** 6), str(-432 * v ** 6)
+    path = tmp_path / "cert.json"
+    assert run_cli(["certify", A, B, "--output", str(path)]) == 0
+    capsys.readouterr()
+    data = json.loads(path.read_text())
+    assert data["rank"] == 3
+    assert max(len(w[key]) for w in data["witnesses"]
+               for key in ("subfamily_point", "embedded_point")) > 12_000
+    assert run_cli(["certify", "--verify", str(path)]) == 0
+    assert capsys.readouterr().out.endswith("certificate verifies\n")
 
 
 @pytest.mark.parametrize("mutate,named", [
@@ -894,7 +980,8 @@ def test_verify_deeply_nested_point_is_a_named_failure(cert_1_16, tmp_path):
     point = "(" + "(" * 5000 + "s" + ")" * 5000 + ", s + 8)"
     failures = verify_in_subprocess(
         tmp_path, _with("subfamily_point", point, witness=0)(cert_1_16))
-    assert any(name.startswith("k=1: parse/verify error") and "limit" in name
+    assert any(name.startswith("k=1: parse/verify error") and
+               "characters) is not an integer or p/q" in name
                for name in failures), failures
 
 

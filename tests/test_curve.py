@@ -210,7 +210,7 @@ def test_point_formatting_round_trip():
     P = CurvePoint(RatFunc(Poly([0, -3])), RatFunc(Poly([0, Fraction(1, 2), 1])))
     s = P.to_str("s")
     assert s == "(-3*s, s^2 + (1/2)*s)"
-    x, y = parse_point(s)
+    x, y = parse_point(s, "s")
     assert CurvePoint(x, y) == P
     assert O.to_str("s") == "O"
-    assert parse_point("O") is None
+    assert parse_point("O", "s") is None

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,9 +8,8 @@ from hypothesis import strategies as st
 from sexticrank.curve import CurvePoint
 from sexticrank.exactnum import OMEGA, QuadExt
 from sexticrank.funcfield import (
-    MAX_PARSE_BITS,
     MAX_PARSE_DEGREE,
-    MAX_PARSE_TOKENS,
+    MAX_PARSE_TERMS,
     Poly,
     RatFunc,
     lift_to_ext,
@@ -53,96 +53,116 @@ def test_quadext_coeff_display_round_trip():
     assert "sqrt(-3)" in str(p)
 
 
-# -- parsing ------------------------------------------------------------------
+# -- reading the display form back --------------------------------------------
 
 def test_parse_basic():
-    f = parse_ratfunc("(3/2)*t^2 - 1")
+    f = parse_ratfunc("(3/2)*t^2 - 1", "t")
     assert f == RatFunc(Poly([-1, 0, Fraction(3, 2)]))
     assert all(type(c) is Fraction for c in f.num.coeffs + f.den.coeffs)
-    assert parse_ratfunc("t^3/(t - 2)") == RatFunc(Poly([0, 0, 0, 1]), Poly([-2, 1]))
-    assert parse_ratfunc("-t") == RatFunc(Poly([0, -1]))
-    assert parse_ratfunc("2^3") == RatFunc.constant(8)
-    assert parse_ratfunc("t^-2") == RatFunc(Poly([1]), Poly([0, 0, 1]))
+    assert parse_ratfunc("(t^3 + 2)/(t^2)", "t") == RatFunc(Poly([2, 0, 0, 1]),
+                                                            Poly([0, 0, 1]))
+    assert parse_ratfunc("-t", "t") == RatFunc(Poly([0, -1]))
+    assert parse_ratfunc("0", "s") == RatFunc(Poly([]))
+
+
+def test_parse_constant_over_a_power():
+    f = RatFunc(Poly([Fraction(1, 4)]), Poly([0, 0, 1]))
+    assert f.to_str("t") == "1/4/(t^2)"
+    assert parse_ratfunc("1/4/(t^2)", "t") == f
 
 
 def test_parse_refuses_sqrt():
-    # the parser reads Q only; a name before "(" is never the variable
+    # the reader builds over Q only; sqrt(-3) is no rational coefficient
     for text in ["sqrt(-3)", "(-1 + sqrt(-3))/2", "sqrt(2)"]:
-        with pytest.raises(ValueError, match="^unexpected name 'sqrt'$"):
-            parse_ratfunc(text)
-    with pytest.raises(ValueError, match="^unexpected name 'sqrt' "
-                                         r"\(variable is 's'\)$"):
-        parse_point("(s, sqrt(-3)*s^2)")
+        with pytest.raises(ValueError, match="is not an integer or p/q"):
+            parse_ratfunc(text, "t")
+    with pytest.raises(ValueError, match="^coefficient 'sqrt\\(-3\\)' is not"):
+        parse_point("(s, sqrt(-3)*s^2)", "s")
 
 
 def test_parse_rejects_garbage():
-    with pytest.raises(ValueError):
-        parse_ratfunc("t + ")
-    with pytest.raises(ValueError):
-        parse_ratfunc("t $ 2")
-    with pytest.raises(ValueError):
-        parse_ratfunc("t + u")  # two distinct variables
-    with pytest.raises(ValueError):
-        parse_ratfunc("s + 1", var="t")
+    for text, var in [("t + ", "t"), ("t $ 2", "t"), ("t + u", "t"),
+                      ("s + 1", "t"), (" t", "t"), ("t^-2", "t"), ("2^3", "t"),
+                      ("1/0", "t"), ("-0", "t"), ("t + t", "t")]:
+        with pytest.raises(ValueError):
+            parse_ratfunc(text, var)
+
+
+@pytest.mark.parametrize("text,named", [
+    ("t + t^2", "is not canonical; it is written 't^2 + t'"),
+    ("1*s", "is not canonical; it is written 's'"),
+    ("(2/4)*s", "is not canonical; it is written '(1/2)*s'"),
+    ("t/(t^2)", "is not canonical; it is written '1/(t)'"),
+    ("s/(s + 1)", "denominator 's + 1' is not a power of s"),
+    ("s^4 + s^3 + s^2 + s + 1", f"more than {MAX_PARSE_TERMS} terms"),
+    (f"s^{MAX_PARSE_DEGREE + 1}", "degree 65 is above the reader's limit"),
+    ("sqrt(-3)*s", "coefficient 'sqrt(-3)' is not an integer or p/q"),
+], ids=["out-of-order", "unit-coefficient", "unreduced-coefficient",
+        "unreduced-fraction", "other-denominator", "five-terms", "degree-65",
+        "sqrt"])
+def test_parse_refuses_by_name(text, named):
+    var = "t" if "t" in text.replace("sqrt", "") else "s"
+    with pytest.raises(ValueError) as info:
+        parse_ratfunc(text, var)
+    assert named in str(info.value)
 
 
 def test_parse_point():
-    x, y = parse_point("(t^2 - 1, (1/2)*t^3)")
+    x, y = parse_point("(t^2 - 1, (1/2)*t^3)", "t")
     assert x == RatFunc(Poly([-1, 0, 1]))
     assert y == RatFunc(Poly([0, 0, 0, Fraction(1, 2)]))
-    assert parse_point("O") is None
-    with pytest.raises(ValueError):
-        parse_point("t^2 - 1")
+    assert parse_point("O", "t") is None
+    for text in ["t^2 - 1", " O", "(t, t", "(t,t)", "(t, t, t)"]:
+        with pytest.raises(ValueError):
+            parse_point(text, "t")
 
 
 def test_parse_point_reads_one_variable():
-    x, y = parse_point("(4, s + 8)")
+    x, y = parse_point("(4, s + 8)", "s")
     assert x == RatFunc.constant(4) and y == RatFunc(Poly([8, 1]))
-    assert parse_point("(s, s^2)", var="s") == (RatFunc(Poly([0, 1])),
-                                               RatFunc(Poly([0, 0, 1])))
-    for text, var in [("(s, t^2)", None), ("(4, t)", "s"), ("(t, t)", "s")]:
-        with pytest.raises(ValueError, match="unexpected name"):
+    assert parse_point("(s, s^2)", "s") == (RatFunc(Poly([0, 1])),
+                                           RatFunc(Poly([0, 0, 1])))
+    for text, var in [("(s, t^2)", "s"), ("(4, t)", "s"), ("(s, s)", "t")]:
+        with pytest.raises(ValueError, match="^coefficient '[st]"):
             parse_point(text, var)
 
 
 def test_parse_degree_cap():
     cap = MAX_PARSE_DEGREE
-    assert parse_ratfunc(f"t^{cap}") == RatFunc(Poly.monomial(1, cap))
-    assert parse_ratfunc(f"1/t^{cap}") == RatFunc(Poly([1]), Poly.monomial(1, cap))
-    for text in [f"t^{cap + 1}", f"t^-{cap + 1}", f"(t^2 + 1)^{cap // 2 + 1}",
-                 f"2^{cap + 1}", f"t^{cap} * t", f"t^{cap}/(t + 1)",
-                 f"t^{cap} + 1/t", "(s + 1)^100000"]:
-        with pytest.raises(ValueError, match="limit"):
-            parse_ratfunc(text)
+    assert parse_ratfunc(f"t^{cap}", "t") == RatFunc(Poly.monomial(1, cap))
+    assert parse_ratfunc(f"1/(t^{cap})", "t") == RatFunc(Poly([1]),
+                                                        Poly.monomial(1, cap))
+    for text in [f"t^{cap + 1}", f"1/(t^{cap + 1})", f"t^{cap + 1} + 1",
+                 "s^20000", "t^" + "9" * 4000]:
+        with pytest.raises(ValueError, match="above the reader's limit"):
+            parse_ratfunc(text, "t" if "t" in text else "s")
 
 
 def test_parse_coefficient_size_cap():
-    assert parse_ratfunc("(2^64)^8") == RatFunc.constant(2 ** 512)
-    assert parse_ratfunc("(2/3*t + 5)^64") == (Fraction(2, 3) * Poly.variable() + 5) ** 64
-    # refused before the power is built, not after
-    for text in ["((2^64)^64)^64", "((((2^64)^64)^64)^64)^64",
-                 f"({2 ** (MAX_PARSE_BITS // 64)})^64"]:
-        with pytest.raises(ValueError, match="bits is above the parser's limit"):
-            parse_ratfunc(text)
-    for text, k in [("({c})^64", 1012), ("(t/{c})^64", 1009)]:
-        parse_ratfunc(text.format(c=2 ** k))
-        with pytest.raises(ValueError, match="bits is above the parser's limit"):
-            parse_ratfunc(text.format(c=2 ** (k + 1)))
+    # every integer goes through int once, within the interpreter's
+    # int/str digit limit
+    digits = sys.get_int_max_str_digits()
+    p, q = 10 ** (digits - 1) + 1, 10 ** (digits - 1) + 3
+    text = f"({p}/{q})*t^{MAX_PARSE_DEGREE} - {p}/{q}"
+    c = Fraction(p, q)
+    assert parse_ratfunc(text, "t") == RatFunc(
+        Poly([-c] + [0] * (MAX_PARSE_DEGREE - 1) + [c]))
+    with pytest.raises(ValueError, match="integer string conversion"):
+        parse_ratfunc(f"{10 * p}*t + 1", "t")
 
 
-def test_parse_token_cap():
-    # m summands are 2m - 1 tokens: "-" and n summands are the cap, and
-    # "1+" one more; a point adds "(", ",", ")" and two tokens for y
-    n = MAX_PARSE_TOKENS // 2
-    terms = "+".join(["t"] * n)
-    assert parse_ratfunc("-" + terms) == RatFunc(Poly([0, n - 2]))
-    with pytest.raises(ValueError, match="tokens, above the parser's limit"):
-        parse_ratfunc("1+" + terms)
-    terms = "+".join(["t"] * (n - 2))
-    assert parse_point(f"({terms}, -1)") == (RatFunc(Poly([0, n - 2])),
-                                             RatFunc.constant(-1))
-    with pytest.raises(ValueError, match="tokens, above the parser's limit"):
-        parse_point(f"({terms}, 1-1)")
+def test_parse_term_cap():
+    # the count is taken on the separators, before any term is read
+    terms = ["s^4", "2*s^3", "s^2", "1"]
+    parse_ratfunc(" + ".join(terms), "s")
+    with pytest.raises(ValueError, match="more than 4 terms"):
+        parse_ratfunc(" + ".join(["s^5"] + terms), "s")
+    long = " + ".join(f"s^{k}" for k in range(MAX_PARSE_DEGREE, 0, -1))
+    with pytest.raises(ValueError, match="more than 4 terms") as info:
+        parse_ratfunc(long, "s")
+    assert len(str(info.value)) < 200
+    with pytest.raises(ValueError, match="characters\\) is not a power of s"):
+        parse_point("(" + "+".join(["s"] * 100_000) + ", 1)", "s")
 
 
 # -- algebra -------------------------------------------------------------------
@@ -262,9 +282,30 @@ def test_gcd_divides(a, b):
         assert (a % g).is_zero() and (b % g).is_zero()
 
 
-@given(ratfuncs)
-def test_str_parse_round_trip(f):
-    assert parse_ratfunc(str(f)) == f
+#: the functions the reader takes: at most MAX_PARSE_TERMS terms over a
+#: power of the variable, of degree at most MAX_PARSE_DEGREE
+readable = st.builds(
+    lambda terms, k: RatFunc(Poly([terms.get(i, 0)
+                                   for i in range(MAX_PARSE_DEGREE + 1)]),
+                             Poly.monomial(1, k)),
+    st.dictionaries(st.integers(0, MAX_PARSE_DEGREE), nonzero_frac,
+                    max_size=MAX_PARSE_TERMS),
+    st.integers(0, MAX_PARSE_DEGREE))
+
+
+@given(readable, st.sampled_from("st"))
+def test_str_parse_round_trip(f, var):
+    assert parse_ratfunc(f.to_str(var), var) == f
+
+
+@given(st.text(alphabet="t0123456789٣+-*/^() ", max_size=30))
+def test_parse_reads_only_canonical_text(text):
+    # any other text is refused with a ValueError, never another error
+    try:
+        f = parse_ratfunc(text, "t")
+    except ValueError:
+        return
+    assert f.to_str("t") == text
 
 
 @given(ratfuncs, ratfuncs)

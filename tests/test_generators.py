@@ -32,7 +32,8 @@ from sexticrank.rankalg import CRITERIA, rank_breakdown
 
 
 def pt(xs, ys):
-    return CurvePoint(parse_ratfunc(xs, var="s"), parse_ratfunc(ys, var="s"))
+    """The point with coordinates xs and ys, each as to_str writes it in s."""
+    return CurvePoint(parse_ratfunc(xs, "s"), parse_ratfunc(ys, "s"))
 
 
 # -- closed-form points, direct cases -----------------------------------------
@@ -56,7 +57,7 @@ def test_k3_direct_point():
 
 def test_k4_direct_point():
     w = subfamily_generator(rank_breakdown(1, 16), 4)
-    assert w.point == pt("(1/4)*s^2", "4*s^2 + (1/8)*s^3")
+    assert w.point == pt("(1/4)*s^2", "(1/8)*s^3 + 4*s^2")
 
 
 def test_generator_absent_when_criterion_fails():
@@ -153,7 +154,7 @@ def test_descent_k1_x_coordinate():
     # hand derivation: lambda = -9s/2 + 4/3, x = lambda^2 - 4/3
     w = subfamily_generator(rank_breakdown(-27, 16), 1)
     assert w.used_descent
-    assert w.point.x == parse_ratfunc("(81/4)*s^2 - 12*s + 4/9", var="s")
+    assert w.point.x == parse_ratfunc("(81/4)*s^2 - 12*s + 4/9", "s")
 
 
 def test_descent_combine_is_rational_and_nonzero():
@@ -415,7 +416,7 @@ def test_witnesses_can_span_a_subgroup_of_index_2(A, B, half, regulator):
     # their regulator, and E(Q(t))'s is at most R/4
     cert = full_certificate(A, B)
     E = FunctionFieldCurve.sextic(A, B)
-    P = CurvePoint(parse_ratfunc(half[0]), parse_ratfunc(half[1]))
+    P = CurvePoint(parse_ratfunc(half[0], "t"), parse_ratfunc(half[1], "t"))
     assert E.contains(P)
     W = {w.k: base_change_embed(w.point, (w.k, 1), (0, 6))
          for w in cert.witnesses}
