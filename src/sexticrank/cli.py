@@ -3,7 +3,9 @@
 Subcommands: ``rank`` for a single pair's component breakdown,
 ``certify`` for a machine-verifiable rank certificate (build or
 re-verify), ``census`` for the exhaustive sixth-power-free sweep, and
-``oracle`` for the independent bounded-height point search.
+``oracle`` for the independent bounded-height point search.  ``certify``
+and ``oracle`` import their engines when they run, so ``rank`` and
+``census`` load only ``exactnum`` and ``rankalg`` of the package.
 
 Exit codes: 0 success, 1 a verification or consistency failure or
 stdout closed early, 2 usage error, 130 interrupted (Ctrl-C, SIGINT),
@@ -19,9 +21,6 @@ from collections import Counter
 from fractions import Fraction
 
 from .exactnum import parse_rational
-from .generators import (construction_text, full_certificate,
-                         verify_certificate_json)
-from .oracle import MAX_HEIGHT, cross_validate
 from .rankalg import (CASE_RANK, CRITERIA, MAX_CENSUS_BOUND,
                       breakdown_to_json, census_blocks, rank_breakdown)
 
@@ -151,6 +150,9 @@ def cmd_rank(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from .generators import (construction_text, full_certificate,
+                             verify_certificate_json)
+
     if args.verify:
         if args.A is not None or args.B is not None or args.output:
             args.parser.error("--verify takes no A, B or --output")
@@ -247,6 +249,8 @@ def cmd_census(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .oracle import MAX_HEIGHT, cross_validate
+
     _require_nonzero(args)
     if args.height > MAX_HEIGHT:
         args.parser.error(f"--height is above the limit of {MAX_HEIGHT}")

@@ -35,7 +35,8 @@ __all__ = [
 ]
 
 
-_RATIONAL = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+#: ASCII digits only: \d and Fraction() also read other scripts' digits
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 #: most digits a literal may have, numerator and denominator together.
 #: Measured on 2 cores, CPython 3.11, at 2,000 digits: rank takes
@@ -56,9 +57,9 @@ def excerpt(value) -> str:
 
 def parse_rational(text: str) -> Fraction:
     """Exact rational literal: an integer or p/q of at most
-    MAX_LITERAL_DIGITS digits.  No floats; ValueError for anything else,
-    including a zero denominator."""
-    if not _RATIONAL.match(text):
+    MAX_LITERAL_DIGITS ASCII digits.  No floats; ValueError for anything
+    else, including a zero denominator."""
+    if not _RATIONAL.fullmatch(text):
         raise ValueError(f"{excerpt(text)} is not an integer or p/q rational "
                          "literal")
     digits = sum(map(str.isdigit, text))

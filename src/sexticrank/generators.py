@@ -398,6 +398,16 @@ def _read_field(obj, name: str, read, *args):
         raise ValueError(f"field {name!r}: {exc}")
 
 
+def _canonical_rational(text: str) -> Fraction:
+    """A rational written as ``str(Fraction)`` writes it, so that a
+    certificate's A and B have one text each, as its points do."""
+    value = parse_rational(text)
+    if str(value) != text:
+        raise ValueError(f"{excerpt(text)} is not canonical; it is "
+                         f"written {excerpt(str(value))}")
+    return value
+
+
 def _point_field(obj, name: str, var: str) -> CurvePoint:
     """obj[name], a point as ``CurvePoint.to_str(var)`` writes it."""
     parsed = _read_field(obj, name, parse_point, var)
@@ -412,14 +422,15 @@ def verify_certificate_json(data) -> VerificationReport:
     subfamily_point and embedded_point, and recomputes every check from
     them; the stored check results and any other field prove nothing.  A
     malformed field, a stored rank or r that differs from the recomputed
-    one, and a point not written as ``to_str`` writes it each add one
+    one, an A or B not written as ``str(Fraction)`` writes it and a point
+    not written as ``to_str`` writes it each add one
     named failed check, and only when they fail, so a certificate that
     verifies gets exactly the check names stored in it.  A name quotes
     at most 40 characters of any input (``excerpt``).
     """
     try:
-        A = _read_field(data, "A", parse_rational)
-        B = _read_field(data, "B", parse_rational)
+        A = _read_field(data, "A", _canonical_rational)
+        B = _read_field(data, "B", _canonical_rational)
         witnesses = _field(data, "witnesses", list)
         # more witnesses than criteria cannot have distinct indices, so
         # refuse them before parsing any point

@@ -26,7 +26,6 @@ import os
 import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain, islice
@@ -74,8 +73,7 @@ QUADRUPLE_CUBE_SQUARISH = (16, -432)
 CRITERIA = {1: ("4AB", "A"), 2: ("A", "B"), 3: ("B", "A"), 4: ("4AB", "B")}
 
 
-@dataclass(frozen=True)
-class ComponentReason:
+class ComponentReason(NamedTuple):
     """Why one subfamily criterion holds or fails."""
 
     k: int
@@ -87,8 +85,7 @@ class ComponentReason:
     square_root: Optional[Fraction]
 
 
-@dataclass(frozen=True)
-class RankBreakdown:
+class RankBreakdown(NamedTuple):
     A: Fraction
     B: Fraction
     r: tuple
@@ -157,14 +154,15 @@ def breakdown_to_json(bd: RankBreakdown) -> dict:
 # canonical form and case classification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class NormalizedPair:
+class NormalizedPair(NamedTuple):
     """Canonical form of (A, B) under sixth powers and the swap symmetry.
 
     A = u^6 * (A_bar), B = v^6 * (B_bar); (first, second) is (A_bar,
     B_bar) or the swap of it, preferring a first component whose class
     lies in CUBE_AND_SQUARISH, then lexicographic order.  The classes of
-    first and second ride along, so that classify factors nothing twice.
+    first and second ride along, so that classify factors nothing twice;
+    being functions of first and second, they change nothing in equality
+    and hashing.
     """
 
     first: Fraction
@@ -174,8 +172,8 @@ class NormalizedPair:
     u: Fraction
     v: Fraction
     swapped: bool
-    first_class: SixthPowerClass = field(repr=False, compare=False)
-    second_class: SixthPowerClass = field(repr=False, compare=False)
+    first_class: SixthPowerClass
+    second_class: SixthPowerClass
 
 
 def normalize_pair(A, B) -> NormalizedPair:
@@ -203,8 +201,7 @@ def _prefer_swap(A_bar: Fraction, B_bar: Fraction) -> bool:
     return (B_bar, A_bar) < (A_bar, B_bar)
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     rank: int
     case: str
     normalized: NormalizedPair

@@ -273,11 +273,14 @@ def test_certify_verify_refuses_pair_and_output(extra, tmp_path, capsys,
      "'-1/-2' is not an integer or p/q rational literal"),
     (["certify", "1", "-0x10"], "sexticrank certify: error: argument B: "
      "'-0x10' is not an integer or p/q rational literal"),
+    (["rank", "\u0661", "\u0661\u0666"], "sexticrank rank: error: argument A: "
+     "'\u0661' is not an integer or p/q rational literal"),
 ], ids=["rank-A-zero", "rank-B-zero", "certify-no-pair", "certify-A-zero",
         "certify-B-zero", "certify-verify-missing-file", "census-bound-cap",
         "oracle-A-zero", "oracle-B-zero", "oracle-height-cap",
         "census-format", "rank-negative-decimal", "rank-negative-denominator",
-        "oracle-negative-denominator", "certify-negative-hex"])
+        "oracle-negative-denominator", "certify-negative-hex",
+        "rank-arabic-indic-digits"])
 def test_usage_errors(argv, message, capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run_cli(argv) == 2
@@ -419,6 +422,37 @@ def test_module_entry_point():
         capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0
     assert "rank = 3" in proc.stdout
+
+
+#: what neither rank nor census may load: certify and oracle import
+#: their engines when they run
+DEFERRED = ("sexticrank.generators", "sexticrank.curve", "sexticrank.funcfield",
+            "sexticrank.oracle", "dataclasses", "inspect")
+
+
+def test_rank_and_census_load_no_certificate_or_oracle_module():
+    code = ("import sys\n"
+            "from sexticrank import cli\n"
+            "assert cli.main(['rank', '1', '16', '--format', 'json']) == 0\n"
+            "assert cli.main(['census', '--bound', '30']) == 0\n"
+            "print(sorted(set(sys.argv[1:]) & set(sys.modules)),"
+            " file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", code, *DEFERRED],
+                          capture_output=True, text=True, env=CHILD_ENV,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "[]\n"
+
+
+def test_certify_and_oracle_import_their_engines(tmp_path):
+    path = str(tmp_path / "cert.json")
+    for argv in (["certify", "1", "16", "--output", path],
+                 ["certify", "--verify", path],
+                 ["oracle", "2", "3", "--height", "4"]):
+        proc = subprocess.run([sys.executable, "-m", "sexticrank.cli", *argv],
+                              capture_output=True, text=True, env=CHILD_ENV,
+                              timeout=60)
+        assert proc.returncode == 0, (argv, proc.stderr)
 
 
 UNFACTORABLE = "10000000000000000000000083000000000000000000000091"
@@ -925,6 +959,18 @@ def test_verify_refuses_an_equal_but_non_canonical_point(cert_1_16, tmp_path):
         tmp_path, _with("subfamily_point", "(4, 8 + s)", witness=0)(cert_1_16))
     assert failures == ["k=1: parse/verify error: field 'subfamily_point': "
                         "'8 + s' is not canonical; it is written 's + 8'"]
+
+
+@pytest.mark.parametrize("B,named", [
+    ("+16", "'+16' is not canonical; it is written '16'"),
+    ("016", "'016' is not canonical; it is written '16'"),
+    ("32/2", "'32/2' is not canonical; it is written '16'"),
+    ("\uff11\uff16", "'\uff11\uff16' is not an integer or p/q rational literal"),
+], ids=["plus-sign", "leading-zero", "unreduced", "fullwidth-digits"])
+def test_verify_refuses_an_equal_but_non_canonical_pair(B, named, cert_1_16):
+    report = verify_certificate_json(_with("B", B)(cert_1_16))
+    assert [c.name for c in report.checks if not c.passed] == [
+        f"malformed certificate: field 'B': {named}"]
 
 
 def test_certificate_with_literals_of_900_digits_verifies(tmp_path, capsys):

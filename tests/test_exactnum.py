@@ -120,6 +120,14 @@ def test_parse_rational_caps_the_digits_of_numerator_and_denominator():
             parse_rational(text)
 
 
+@pytest.mark.parametrize("text", ["\u0661\u0666", "\uff11\uff16", "3/\u0664",
+                                  "16\n"])
+def test_parse_rational_reads_ascii_digits_only(text):
+    # Arabic-Indic 16, fullwidth 16, 3 over Arabic-Indic 4, a newline
+    with pytest.raises(ValueError, match="is not an integer or p/q"):
+        parse_rational(text)
+
+
 def test_factorint_known_values():
     assert factorint(1) == {}
     assert factorint(2 ** 10 * 3 ** 4 * 97) == {2: 10, 3: 4, 97: 1}

@@ -38,6 +38,33 @@ small_nonzero = st.fractions(
 
 # -- frozen instances --------------------------------------------------------
 
+def _records(A, B):
+    bd, cls = rank_breakdown(A, B), classify(A, B)
+    return {"k": bd.reasons[0], "A": bd, "first": cls.normalized,
+            "rank": cls}
+
+
+def test_records_refuse_assignment_and_are_hashable():
+    for field, record in _records(1, 16).items():
+        for name in (field, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+        hash(record)
+
+
+def test_records_of_one_pair_are_equal_and_of_two_pairs_not():
+    # (64, 16) is (1, 16) with A times 2^6: the same rank, case and
+    # canonical pair, other values
+    same, other = _records(1, 16), _records(64, 16)
+    for field, record in _records(Fraction(1), 16).items():
+        assert record == same[field] and hash(record) == hash(same[field])
+        assert record != other[field]
+    assert rank_breakdown(1, 16) != rank_breakdown(16, 1)
+    assert classify(1, 16) != classify(16, 1)
+
+
+# -- known pairs ---------------------------------------------------------------
+
 KNOWN = [
     # (A, B, component tuple, rank, classify case)
     (1, 16, (1, 1, 0, 1), 3, "3"),
