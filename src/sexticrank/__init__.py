@@ -24,9 +24,8 @@ __all__ = [
 def __getattr__(name):
     """Import the certificate and oracle names when first asked for:
     only ``certify`` and ``oracle`` use them, and their modules (with
-    ``curve``, ``funcfield`` and ``dataclasses``) would cost every other
-    command 30-40 ms of start-up (2 cores, CPython 3.11, no bytecode
-    cache)."""
+    ``curve`` and ``funcfield``) would cost every other command 20-35 ms
+    of start-up (2 cores, CPython 3.11, no bytecode cache)."""
     if name in ("full_certificate", "verify_certificate_json"):
         from . import generators as module
     elif name == "cross_validate":

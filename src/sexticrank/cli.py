@@ -198,8 +198,7 @@ def cmd_certify(args) -> int:
 def _emit_verification(report, fmt: str) -> int:
     if fmt == "json":
         out = {"ok": report.ok,
-               "checks": [{"name": c.name, "passed": c.passed}
-                          for c in report.checks]}
+               "checks": [c._asdict() for c in report.checks]}
         print(json.dumps(out, indent=2))
     else:
         for c in report.checks:

@@ -9,9 +9,8 @@ The group law also takes points with Q(sqrt(-3)) coefficients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .exactnum import OMEGA
 from .funcfield import (
@@ -89,8 +88,7 @@ class CurvePoint:
 O = CurvePoint.infinity()
 
 
-@dataclass(frozen=True)
-class FiberReport:
+class FiberReport(NamedTuple):
     """One Galois orbit of singular fibers."""
 
     place: str
@@ -101,8 +99,7 @@ class FiberReport:
     components_away: int  # fiber components not meeting the zero section
 
 
-@dataclass(frozen=True)
-class FiberSummary:
+class FiberSummary(NamedTuple):
     fibers: tuple
     total_v_delta: int
     geometric_rank: int

@@ -35,11 +35,10 @@ and the heights.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import prod
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .curve import LEGAL_KM, CurvePoint, FunctionFieldCurve, O
 from .exactnum import excerpt, parse_rational
@@ -69,8 +68,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GeneratorWitness:
+class GeneratorWitness(NamedTuple):
     """A point over Q on one subfamily curve, with its origin story:
     ``used_descent`` says whether it is the Galois descent of a point
     over Q(sqrt(-3)) or criterion k's direct point."""
@@ -316,14 +314,12 @@ def shioda_height(embedded: CurvePoint) -> int:
 # certificates
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CertificateCheck:
+class CertificateCheck(NamedTuple):
     name: str
     passed: bool
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     checks: tuple
 
     @property
@@ -335,8 +331,7 @@ class VerificationReport:
         return not self.failures
 
 
-@dataclass(frozen=True)
-class RankCertificate:
+class RankCertificate(NamedTuple):
     """A certificate's JSON form, as ``certify`` prints it, with the
     witnesses it was built from and the report that
     ``verify_certificate_json`` made on that same dict."""
@@ -354,7 +349,7 @@ def full_certificate(A, B) -> RankCertificate:
                       for c in bd.reasons if c.satisfied)
     data = certificate_to_json(bd, witnesses)
     report = verify_certificate_json(data)
-    data["checks"] = [asdict(c) for c in report.checks]
+    data["checks"] = [c._asdict() for c in report.checks]
     return RankCertificate(data, witnesses, report)
 
 
@@ -508,8 +503,7 @@ INCLUSION_ARROWS = (
 )
 
 
-@dataclass(frozen=True)
-class InclusionResult:
+class InclusionResult(NamedTuple):
     source: tuple
     target: tuple
     d: int

@@ -39,12 +39,11 @@ walked.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from math import gcd, lcm
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .curve import CurvePoint, FunctionFieldCurve
 from .exactnum import is_kth_power
@@ -67,8 +66,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SearchShape:
+class SearchShape(NamedTuple):
     """Which powers of s may appear in x and in y."""
 
     x_support: tuple
@@ -401,10 +399,7 @@ def _canonical_sign(P: CurvePoint) -> CurvePoint:
     return P
 
 
-@dataclass(frozen=True)
-class CrossValidation:
-    A: Fraction
-    B: Fraction
+class CrossValidation(NamedTuple):
     k: int
     satisfied: bool
     used_descent: bool
@@ -447,6 +442,6 @@ def cross_validate(bd, k: int, height: int = 12) -> CrossValidation:
     else:
         conclusive = point_height(w.point) <= height
         agrees = not conclusive
-    return CrossValidation(bd.A, bd.B, k, w is not None, descent,
+    return CrossValidation(k, w is not None, descent,
                            None if w is None else w.point, found,
                            agrees=agrees, conclusive=conclusive)

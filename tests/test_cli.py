@@ -213,15 +213,15 @@ def test_certify_output_verify_roundtrip(tmp_path, capsys):
 @pytest.mark.parametrize("A,B", [(8, 9), (-27, -432)])
 def test_certify_prints_the_certificate_it_writes(A, B, tmp_path, capsys):
     # one serialisation: stdout and --output carry the same bytes, and
-    # --verify lists the checks stored in the file, in the same order
+    # --verify lists the checks stored in the file, in the same order and
+    # the same JSON form
     path = tmp_path / "cert.json"
     assert run_cli(["certify", str(A), str(B), "--format", "json",
                     "--output", str(path)]) == 0
     assert capsys.readouterr().out == path.read_text()
     assert run_cli(["certify", "--verify", str(path), "--format", "json"]) == 0
     verified = json.loads(capsys.readouterr().out)["checks"]
-    stored = json.loads(path.read_text())["checks"]
-    assert [c["name"] for c in verified] == [c["name"] for c in stored]
+    assert verified == json.loads(path.read_text())["checks"]
 
 
 def test_certify_verify_unreadable_file(tmp_path, capsys):
@@ -445,14 +445,22 @@ def test_rank_and_census_load_no_certificate_or_oracle_module():
 
 
 def test_certify_and_oracle_import_their_engines(tmp_path):
-    path = str(tmp_path / "cert.json")
-    for argv in (["certify", "1", "16", "--output", path],
-                 ["certify", "--verify", path],
-                 ["oracle", "2", "3", "--height", "4"]):
-        proc = subprocess.run([sys.executable, "-m", "sexticrank.cli", *argv],
-                              capture_output=True, text=True, env=CHILD_ENV,
-                              timeout=60)
-        assert proc.returncode == 0, (argv, proc.stderr)
+    # their records are NamedTuples, so the engines bring no dataclasses
+    # and, with it, no inspect
+    code = ("import sys\n"
+            "from sexticrank import cli\n"
+            "path, *names = sys.argv[1:]\n"
+            "assert cli.main(['certify', '1', '16', '--output', path]) == 0\n"
+            "assert cli.main(['certify', '--verify', path]) == 0\n"
+            "assert cli.main(['oracle', '2', '3', '--height', '4']) == 0\n"
+            "print(sorted(set(names) & set(sys.modules)), file=sys.stderr)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "cert.json"),
+         "sexticrank.generators", "sexticrank.oracle", "dataclasses",
+         "inspect"],
+        capture_output=True, text=True, env=CHILD_ENV, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "['sexticrank.generators', 'sexticrank.oracle']\n"
 
 
 UNFACTORABLE = "10000000000000000000000083000000000000000000000091"
@@ -961,16 +969,28 @@ def test_verify_refuses_an_equal_but_non_canonical_point(cert_1_16, tmp_path):
                         "'8 + s' is not canonical; it is written 's + 8'"]
 
 
-@pytest.mark.parametrize("B,named", [
-    ("+16", "'+16' is not canonical; it is written '16'"),
-    ("016", "'016' is not canonical; it is written '16'"),
-    ("32/2", "'32/2' is not canonical; it is written '16'"),
-    ("\uff11\uff16", "'\uff11\uff16' is not an integer or p/q rational literal"),
-], ids=["plus-sign", "leading-zero", "unreduced", "fullwidth-digits"])
-def test_verify_refuses_an_equal_but_non_canonical_pair(B, named, cert_1_16):
-    report = verify_certificate_json(_with("B", B)(cert_1_16))
+@pytest.mark.parametrize("B,named,schema_refuses", [
+    ("+16", "'+16' is not canonical; it is written '16'", True),
+    ("016", "'016' is not canonical; it is written '16'", True),
+    ("16/1", "'16/1' is not canonical; it is written '16'", True),
+    # no pattern can express lowest terms
+    ("32/2", "'32/2' is not canonical; it is written '16'", False),
+    ("\uff11\uff16", "'\uff11\uff16' is not an integer or p/q rational literal",
+     True),
+], ids=["plus-sign", "leading-zero", "denominator-one", "unreduced",
+        "fullwidth-digits"])
+def test_verify_refuses_an_equal_but_non_canonical_pair(
+        B, named, schema_refuses, cert_1_16):
+    data = _with("B", B)(cert_1_16)
+    report = verify_certificate_json(data)
     assert [c.name for c in report.checks if not c.passed] == [
         f"malformed certificate: field 'B': {named}"]
+    schema = load_schema("certificate.schema.json")
+    if schema_refuses:
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(data, schema)
+    else:
+        jsonschema.validate(data, schema)
 
 
 def test_certificate_with_literals_of_900_digits_verifies(tmp_path, capsys):

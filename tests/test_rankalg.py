@@ -13,7 +13,10 @@ from hypothesis import strategies as st
 
 from sexticrank import exactnum, rankalg
 from sexticrank.cli import main
+from sexticrank.curve import FunctionFieldCurve
 from sexticrank.exactnum import SixthPowerClass
+from sexticrank.generators import full_certificate, verify_inclusion_chain
+from sexticrank.oracle import DIRECT_SHAPES, cross_validate
 from sexticrank.rankalg import (
     CENSUS_TSV_HEADER,
     MAX_CENSUS_BOUND,
@@ -61,6 +64,39 @@ def test_records_of_one_pair_are_equal_and_of_two_pairs_not():
         assert record != other[field]
     assert rank_breakdown(1, 16) != rank_breakdown(16, 1)
     assert classify(1, 16) != classify(16, 1)
+
+
+def _engine_records():
+    """The certificate of (-27, -432), then one record of each other kind
+    that certify and oracle build."""
+    cert = full_certificate(-27, -432)
+    fibers = FunctionFieldCurve.sextic(-27, -432).fiber_report()
+    return [cert, cert.witnesses[0], cert.report, cert.report.checks[0],
+            verify_inclusion_chain(-27, -432)[0], fibers, fibers.fibers[0],
+            DIRECT_SHAPES[1],
+            cross_validate(rank_breakdown(-27, -432), 1, height=4)]
+
+
+def test_engine_records_refuse_assignment():
+    for record in _engine_records():
+        for name in (*record._fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(record, name, 0)
+
+
+def test_engine_records_hash_unless_they_hold_a_dict():
+    cert, *records = _engine_records()
+    for record in records:
+        hash(record)
+    with pytest.raises(TypeError):  # its data is the certificate's dict
+        hash(cert)
+
+
+def test_certificate_stores_its_checks_in_their_record_form():
+    cert = full_certificate(-27, -432)
+    assert cert.data["checks"] == [c._asdict() for c in cert.report.checks]
+    assert repr(cert.report.checks[0]) == (
+        "CertificateCheck(name='k=1: point on subfamily curve', passed=True)")
 
 
 # -- known pairs ---------------------------------------------------------------
