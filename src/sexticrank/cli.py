@@ -169,15 +169,16 @@ def cmd_certify(args) -> int:
     _require_nonzero(args)
     cert = full_certificate(args.A, args.B)
     data, failures = cert.data, cert.report.failures
+    if args.output or args.format == "json":
+        text = json.dumps(data, indent=2)
     if args.output:
         try:
             with open(args.output, "w") as fh:
-                json.dump(data, fh, indent=2)
-                fh.write("\n")
+                fh.write(text + "\n")
         except OSError as exc:
             args.parser.error(f"cannot write certificate: {exc}")
     if args.format == "json":
-        print(json.dumps(data, indent=2))
+        print(text)
     else:
         print(f"A = {data['A']}, B = {data['B']}: rank {data['rank']}")
         for w, stored in zip(cert.witnesses, data["witnesses"]):

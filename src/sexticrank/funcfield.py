@@ -134,10 +134,13 @@ class Poly:
             return Poly([c * s for c in self.coeffs])
         if self.is_zero() or other.is_zero():
             return Poly([])
+        # only nonzero terms of either side are multiplied: embedded
+        # points are nonzero at every sixth power of t only
+        terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
         out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
-                for j, b in enumerate(other.coeffs):
+                for j, b in terms:
                     out[i + j] = out[i + j] + a * b
         return Poly(out)
 
@@ -510,9 +513,9 @@ def parse_ratfunc(text: str, var: str) -> RatFunc:
         raise ValueError(f"{excerpt(text)} has more than {MAX_PARSE_TERMS} "
                          "terms, above the reader's limit")
     words = ("- " + num[1:] if num.startswith("-") else "+ " + num).split(" ")
-    coeffs = [Fraction(0)] * (MAX_PARSE_DEGREE + 1)
-    for sign, body in zip(words[::2], words[1::2]):
-        k, c = _term(body, var)
+    terms = [_term(body, var) for body in words[1::2]]
+    coeffs = [Fraction(0)] * (max(k for k, _ in terms) + 1)
+    for sign, (k, c) in zip(words[::2], terms):
         coeffs[k] = -c if sign == "-" else c
     f = RatFunc(Poly(coeffs), Poly.monomial(1, e))
     if f.to_str(var) != text:

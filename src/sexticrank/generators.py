@@ -227,9 +227,8 @@ def base_change_embed(P: CurvePoint, source, target) -> CurvePoint:
     x = P.x.substitute(inner)
     y = P.y.substitute(inner)
     if e:
-        u = RatFunc.variable()
-        x = x / u ** (2 * e)
-        y = y / u ** (3 * e)
+        x = RatFunc(x.num, x.den * Poly.monomial(1, 2 * e))
+        y = RatFunc(y.num, y.den * Poly.monomial(1, 3 * e))
     return CurvePoint(x, y)
 
 

@@ -181,6 +181,25 @@ def test_gcd():
     assert poly_gcd(a, b) == Poly([0, 1]) * Poly([-1, 1])
 
 
+def test_product_multiplies_no_zero_coefficient():
+    calls = []
+
+    class Counted(Fraction):
+        def __mul__(self, other):
+            calls.append((self, other))
+            return Fraction.__mul__(self, other)
+
+    a = Poly([Counted(c) for c in (1, 0, 0, 2, 0, 0, 0, -3)])
+    b = Poly([Counted(c) for c in (0, 0, 5, 0, 0, 0, 0, 0, 7)])
+    # (1 + 2t^3 - 3t^7)(5t^2 + 7t^8)
+    assert a * b == Poly([0, 0, 5, 0, 0, 10, 0, 0, 7, -15, 0, 14, 0, 0, 0,
+                          -21])
+    assert len(calls) == 3 * 2 and all(x and y for x, y in calls)
+    calls.clear()
+    assert b * a == a * b
+    assert len(calls) == 2 * 2 * 3
+
+
 def test_substitute_inversion():
     f = RatFunc(Poly([1, 0, 1]))  # t^2 + 1
     inv = RatFunc(Poly([1]), Poly([0, 1]))  # 1/t
@@ -263,6 +282,29 @@ def test_poly_ring_axioms(a, b, c):
     assert (a + b) * c == a * c + b * c
     assert a * b == b * a
     assert (a * b) * c == a * (b * c)
+
+
+def spread(cs, d):
+    """The polynomial with cs[i] at t^(d*i) and zero elsewhere: nonzero
+    only at every d-th power of t, as embedded points are."""
+    out = [0] * (d * len(cs))
+    out[::d] = cs
+    return Poly(out)
+
+
+def spread_polys(coeffs):
+    return st.builds(spread, st.lists(coeffs, max_size=5), st.integers(1, 6))
+
+
+@given(st.sampled_from([frac, quad]).flatmap(
+    lambda coeffs: st.tuples(spread_polys(coeffs), spread_polys(coeffs))))
+def test_spread_product_matches_the_schoolbook_sum(ab):
+    a, b = ab
+    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] = out[i + j] + x * y
+    assert a * b == Poly(out)
 
 
 @given(polys, nonzero_polys)

@@ -231,6 +231,33 @@ def test_embed_identity_map():
     assert same == w.point
 
 
+def test_embed_twists_by_shifting_the_denominator(monkeypatch):
+    # the twist (x, y) -> (x/u^2e, y/u^3e) moves the denominators only:
+    # no RatFunc power or quotient is taken
+    def refuse(*args):
+        raise AssertionError("base_change_embed built a power of u")
+
+    monkeypatch.setattr(RatFunc, "__pow__", refuse)
+    monkeypatch.setattr(RatFunc, "__truediv__", refuse)
+    arrows, twists = set(), set()
+    for A, B in [(8, 9), (-3, 1), (4, 4), (1, 16), (-27, -432)]:
+        bd = rank_breakdown(A, B)
+        sextic = FunctionFieldCurve.sextic(A, B)
+        for k in range(1, 5):
+            w = subfamily_generator(bd, k)
+            if w is not None:
+                W = base_change_embed(w.point, (k, 1), (0, 6))  # e = k
+                assert sextic.contains(W)
+        for r in verify_inclusion_chain(A, B):
+            if not r.skipped:
+                target = FunctionFieldCurve.subfamily(A, B, *r.target)
+                assert r.ok and target.contains(r.mapped_point)
+                arrows.add((r.source, r.target))
+                twists.add(r.e)
+    assert arrows == set(INCLUSION_ARROWS)
+    assert {1, 2} <= twists
+
+
 def test_embed_rejects_crooked_maps():
     w = subfamily_generator(rank_breakdown(1, 16), 1)
     with pytest.raises(ValueError):
