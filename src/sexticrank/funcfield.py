@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .exactnum import QuadExt, excerpt, square_and_multiply
+from .exactnum import QuadExt, excerpt
 
 __all__ = [
     "Poly",
@@ -363,13 +363,6 @@ class RatFunc:
         if o is None:
             return NotImplemented
         return o / self
-
-    def __pow__(self, n: int):
-        if n < 0:
-            if self.is_zero():
-                raise ZeroDivisionError("negative power of zero")
-            return RatFunc(self.den, self.num) ** (-n)
-        return square_and_multiply(RatFunc.constant(1), self, n)
 
     # -- evaluation and substitution -------------------------------------------
 

@@ -8,8 +8,10 @@ only holds through -3 (so the naive point P has coordinates in
 Q(sqrt(-3))), the witness is the rational point omega(P) + conj(omega(P))
 of Galois descent, also in closed form (``descended_point``).  The
 subfamily point is then pushed to the sextic curve y^2 = x^3 + A t^6 + B
-along the degree-6 base change, where it satisfies an eigenspace
-identity under t -> zeta6*t that pins down which criterion it came from.
+along the one map that certificates use, the degree-6 base change
+s = t^6 with the twist (x, y) -> (x/t^2k, y/t^3k) (``base_change_embed``),
+where it satisfies an eigenspace identity under t -> zeta6*t that pins
+down which criterion it came from.
 
 A certificate proves the lower bound rank >= r: its witnesses are
 nonzero points with distinct eigenspace tags on a curve whose type II
@@ -40,7 +42,7 @@ from itertools import accumulate
 from math import prod
 from typing import NamedTuple, Optional
 
-from .curve import LEGAL_KM, CurvePoint, FunctionFieldCurve, O
+from .curve import CurvePoint, FunctionFieldCurve, O
 from .exactnum import excerpt, parse_rational
 from .funcfield import Poly, RatFunc, parse_point, restrict_to_rational
 from .rankalg import CRITERIA, RankBreakdown, rank_breakdown
@@ -62,9 +64,6 @@ __all__ = [
     "certificate_to_json",
     "verify_certificate_json",
     "VerificationReport",
-    "INCLUSION_ARROWS",
-    "InclusionResult",
-    "verify_inclusion_chain",
 ]
 
 
@@ -193,43 +192,22 @@ def galois_descent_combine(curve: FunctionFieldCurve, P: CurvePoint) -> CurvePoi
     return rational
 
 
-def _base_change_exponents(source, target) -> tuple:
-    """(d, e) of the base change s -> u^d and twist by u^e from
-    source = (k, m) to target = (K, M); ValueError if there is none."""
-    k, m = source
-    K, M = target
-    for pair in (source, target):
-        if tuple(pair) not in LEGAL_KM:
-            raise ValueError(f"illegal exponent pair {pair}")
-    if M % m:
-        raise ValueError(f"no base change from m={m} to M={M}")
-    d = M // m
-    if (d * k - K) % 6:
-        raise ValueError(f"no twist aligns ({k},{m}) with ({K},{M})")
-    return d, (d * k - K) // 6
+def base_change_embed(P: CurvePoint, k: int) -> CurvePoint:
+    """Push a point of subfamily k to the sextic y^2 = x^3 + A t^6 + B.
 
-
-def base_change_embed(P: CurvePoint, source, target) -> CurvePoint:
-    """Push a point along s -> u^d between subfamily curves.
-
-    source = (k, m) and target = (K, M) with m | M; d = M/m.  The
-    substitution is followed by the twist (x, y) -> (x/u^2e, y/u^3e)
-    with e = (d k - K)/6, which must be an integer for the map to
-    exist.  target (0, 6) is the embedding into the sextic curve.
-    Both steps are monomial maps: the substitution spreads the
-    coefficients to every d-th index and the twist divides by a power
-    of u, so a point over a monomial denominator stays over one.
+    The map is the degree-6 base change s = t^6, then the twist
+    (x, y) -> (x/t^2k, y/t^3k), which takes y^2 = x^3 + t^6k (A t^6 + B)
+    onto the sextic.  Both steps are monomial maps: the substitution
+    spreads the coefficients to every sixth index and the twist moves
+    each denominator by a power of t, so a point over a monomial
+    denominator stays over one.
     """
-    d, e = _base_change_exponents(source, target)
     if P.is_infinity:
         return P
-    inner = RatFunc(Poly.monomial(1, d))
-    x = P.x.substitute(inner)
-    y = P.y.substitute(inner)
-    if e:
-        x = RatFunc(x.num, x.den * Poly.monomial(1, 2 * e))
-        y = RatFunc(y.num, y.den * Poly.monomial(1, 3 * e))
-    return CurvePoint(x, y)
+    inner = RatFunc(Poly.monomial(1, 6))
+    x, y = P.x.substitute(inner), P.y.substitute(inner)
+    return CurvePoint(RatFunc(x.num, x.den * Poly.monomial(1, 2 * k)),
+                      RatFunc(y.num, y.den * Poly.monomial(1, 3 * k)))
 
 
 #: fiber positions tried when certifying nonvanishing by specialization
@@ -364,8 +342,7 @@ def certificate_to_json(bd: RankBreakdown, witnesses) -> dict:
             {
                 "k": w.k,
                 "subfamily_point": w.point.to_str("s"),
-                "embedded_point": base_change_embed(
-                    w.point, (w.k, 1), (0, 6)).to_str("t"),
+                "embedded_point": base_change_embed(w.point, w.k).to_str("t"),
             }
             for w in witnesses
         ],
@@ -461,7 +438,7 @@ def verify_certificate_json(data) -> VerificationReport:
             on_sextic = E.contains(emb)
             check(f"k={k}: embedded point on sextic curve", on_sextic)
             check(f"k={k}: embedding consistent with base change",
-                  base_change_embed(point, (k, 1), (0, 6)) == emb)
+                  base_change_embed(point, k) == emb)
             check(f"k={k}: eigenspace identity for tau^{k}",
                   eigenspace_check(k, emb))
             # heights only exist for points of the sextic's group
@@ -483,56 +460,3 @@ def verify_certificate_json(data) -> VerificationReport:
     check(distinct, len(set(ks)) == len(ks))
     check("witness count equals computed rank", len(witnesses) == bd.rank)
     return VerificationReport(tuple(checks))
-
-
-# ---------------------------------------------------------------------------
-# finite-index inclusions between subfamilies
-# ---------------------------------------------------------------------------
-
-#: arrows (source (k,1), target (K,M)) realized by s -> u^(M) and a twist
-INCLUSION_ARROWS = (
-    ((3, 1), (0, 2)),
-    ((1, 1), (2, 2)),
-    ((4, 1), (2, 2)),
-    ((2, 1), (4, 2)),
-    ((2, 1), (0, 3)),
-    ((4, 1), (0, 3)),
-    ((1, 1), (3, 3)),
-    ((3, 1), (3, 3)),
-)
-
-
-class InclusionResult(NamedTuple):
-    source: tuple
-    target: tuple
-    d: int
-    e: int
-    skipped: bool  # no generator exists for this (A, B) on the source
-    ok: bool
-    mapped_point: Optional[CurvePoint]
-
-
-def verify_inclusion_chain(A, B) -> list:
-    """Push each source generator through its inclusion arrow.
-
-    For every arrow whose source subfamily has a generator for this
-    (A, B), verify the mapped point lands on the target curve.  Arrows
-    without a generator are reported as skipped.
-    """
-    bd = rank_breakdown(A, B)
-    results = []
-    for source, target in INCLUSION_ARROWS:
-        d, e = _base_change_exponents(source, target)
-        w = subfamily_generator(bd, source[0])
-        if w is None:
-            results.append(InclusionResult(source, target, d, e,
-                                           skipped=True, ok=True,
-                                           mapped_point=None))
-            continue
-        mapped = base_change_embed(w.point, source, target)
-        tgt = FunctionFieldCurve.subfamily(bd.A, bd.B, *target)
-        ok = not mapped.is_infinity and tgt.contains(mapped)
-        results.append(InclusionResult(source, target, d, e,
-                                       skipped=False, ok=ok,
-                                       mapped_point=mapped))
-    return results

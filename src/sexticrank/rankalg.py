@@ -324,9 +324,8 @@ class _ValueTables(NamedTuple):
     group is its root bits (cube, squarish) and its four class bits (in
     CUBE_AND_SQUARISH, in QUADRUPLE_CUBE_SQUARISH, cube, squarish)."""
 
-    values: list  # ascending
     facts: dict  # value -> ClassFacts
-    position: dict  # value -> its index in values
+    position: dict  # value -> its index among the values, ascending
     texts: list  # f"{value}\t", by position
     groups: list  # group id, by position
     root_bits: list  # by group id: (cube, squarish)
@@ -357,7 +356,7 @@ def _value_tables(bound: int) -> _ValueTables:
     # |4AB| <= 4 bound^2: a list of cubes, no factoring
     top = _iroot(4 * bound * bound, 3)
     return _ValueTables(
-        values=values, facts=facts,
+        facts=facts,
         position={v: i for i, v in enumerate(values)},
         texts=[f"{v}\t" for v in values], groups=groups,
         root_bits=[kind[:2] for kind in ids], members=members,

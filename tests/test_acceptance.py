@@ -1,7 +1,10 @@
 """End-to-end acceptance checks, one test per criterion.
 
-Each test prints a single summary line; the pytest -v report gives the
-per-criterion pass/fail verdict.  These are deliberately heavyweight:
+Each criterion's test prints a single summary line; the pytest -v
+report gives the per-criterion pass/fail verdict.  Criterion 8 pushes
+points along the base-change arrows with this module's own ``push``, and
+one more test ties ``base_change_embed``, the map certificates use, to
+that push.  These are deliberately heavyweight:
 the exhaustive sweeps are the point, not a smoke test.
 """
 
@@ -11,13 +14,12 @@ import random
 from fractions import Fraction
 
 from sexticrank.cli import main
-from sexticrank.curve import FunctionFieldCurve
+from sexticrank.curve import CurvePoint, FunctionFieldCurve
+from sexticrank.funcfield import Poly, RatFunc
 from sexticrank.generators import (
-    INCLUSION_ARROWS,
     base_change_embed,
     full_certificate,
     subfamily_generator,
-    verify_inclusion_chain,
 )
 from sexticrank.oracle import DIRECT_SHAPES, search_points
 from sexticrank.rankalg import (
@@ -129,12 +131,15 @@ def test_criterion_5_fiber_arithmetic():
           "six type II fibers, geometric ranks 8 and 2")
 
 
+#: criterion 6's pairs (-3a^2, b^3): criterion 3 holds through -3 only
+DESCENT_PAIRS = [(-3 * a * a, b * b * b)
+                 for a in range(1, 6)
+                 for b in [n for n in range(-5, 6) if n]]
+
+
 def test_criterion_6_descent_construction_50_pairs():
-    pairs = [(-3 * a * a, b * b * b)
-             for a in range(1, 6)
-             for b in [n for n in range(-5, 6) if n]]
-    assert len(pairs) == 50
-    for A, B in pairs:
+    assert len(DESCENT_PAIRS) == 50
+    for A, B in DESCENT_PAIRS:
         w = subfamily_generator(rank_breakdown(A, B), 3)
         assert w is not None and w.used_descent
         P = w.point
@@ -142,7 +147,7 @@ def test_criterion_6_descent_construction_50_pairs():
         assert all(type(c) is Fraction
                    for f in (P.x, P.y) for c in f.num.coeffs + f.den.coeffs)
         w.curve.require_on_curve(P)
-        embedded = base_change_embed(P, (3, 1), (0, 6))
+        embedded = base_change_embed(P, 3)
         assert FunctionFieldCurve.sextic(A, B).contains(embedded)
     print("CRITERION 6 PASS: 50 twisted-square pairs descend to rational "
           "nonzero points, verified exactly")
@@ -171,10 +176,62 @@ def test_criterion_7_oracle_sweep_bound_20():
           "witnesses found, zero contradictions")
 
 
+#: arrows (k, 1) -> (K, M) from a subfamily to a curve
+#: y^2 = x^3 + u^K (A u^M + B) of the base-change lattice
+INCLUSION_ARROWS = (
+    ((3, 1), (0, 2)),
+    ((1, 1), (2, 2)),
+    ((4, 1), (2, 2)),
+    ((2, 1), (4, 2)),
+    ((2, 1), (0, 3)),
+    ((4, 1), (0, 3)),
+    ((1, 1), (3, 3)),
+    ((3, 1), (3, 3)),
+)
+
+
+def push(P, source, target):
+    """P along s -> u^d, d = M/m, then (x, y) -> (x/u^2e, y/u^3e) with
+    e = (d k - K)/6, by evaluation and division in Q(u), so that it
+    shares no step with ``base_change_embed``."""
+    (k, m), (K, M) = source, target
+    d, rest = divmod(M, m)
+    e, twist_rest = divmod(d * k - K, 6)
+    assert not rest and not twist_rest, (source, target)
+    s = RatFunc(Poly.monomial(1, d))
+
+    def pull(f, w):
+        twist = RatFunc(Poly.monomial(1, w * e))
+        return f.num.evaluate(s) / (f.den.evaluate(s) * twist)
+
+    return CurvePoint(pull(P.x, 2), pull(P.y, 3))
+
+
 def test_criterion_8_inclusion_chain_nonvacuous():
-    results = verify_inclusion_chain(1, 16) + verify_inclusion_chain(16, 1)
-    assert all(r.ok for r in results)
-    covered = {(r.source, r.target) for r in results if not r.skipped}
+    covered = set()
+    for A, B in [(1, 16), (16, 1)]:
+        bd = rank_breakdown(A, B)
+        for source, target in INCLUSION_ARROWS:
+            w = subfamily_generator(bd, source[0])
+            if w is None:
+                continue
+            mapped = push(w.point, source, target)
+            assert not mapped.is_infinity
+            assert FunctionFieldCurve.subfamily(A, B, *target).contains(mapped)
+            covered.add((source, target))
     assert covered == set(INCLUSION_ARROWS)
     print(f"CRITERION 8 PASS: all {len(INCLUSION_ARROWS)} inclusion arrows "
           "verified on nonvacuous generators")
+
+
+def test_embedding_is_the_push_to_the_sextic():
+    # the six pairs whose certificates tests/test_cli.py pins, and
+    # criterion 6's descent pairs
+    pairs = [(8, 9), (-3, 1), (4, 4), (1, 16), (-27, -432), (1, -27)]
+    witnesses = 0
+    for A, B in pairs + DESCENT_PAIRS:
+        for w in full_certificate(A, B).witnesses:
+            assert push(w.point, (w.k, 1), (0, 6)) == base_change_embed(
+                w.point, w.k), (A, B, w.k)
+            witnesses += 1
+    assert witnesses >= 60

@@ -63,12 +63,13 @@ def test_membership_with_general_denominators():
     # denominator is coprime to t, so no monomial shortcut applies
     t = RatFunc.variable()
     x, y = 1 / (t + 1), t / (t - 1)
-    E = FunctionFieldCurve(y * y - x ** 3)
+    E = FunctionFieldCurve(y * y - x * x * x)
     assert E.contains(CurvePoint(x, y))
     assert E.contains(CurvePoint(x, -y))
     assert not E.contains(CurvePoint(x + 1, y))
     assert not E.contains(CurvePoint(x, y / (t + 2)))
-    assert not FunctionFieldCurve(y * y - x ** 3 + 2).contains(CurvePoint(x, y))
+    assert not FunctionFieldCurve(y * y - x * x * x + 2).contains(
+        CurvePoint(x, y))
 
 
 # -- group law on a curve with known arithmetic -------------------------------

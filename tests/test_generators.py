@@ -14,7 +14,6 @@ from sexticrank.exactnum import (OMEGA, QuadExt, is_kth_power,
                                   is_square_or_neg3_square)
 from sexticrank.funcfield import Poly, RatFunc, lift_to_ext, parse_ratfunc
 from sexticrank.generators import (
-    INCLUSION_ARROWS,
     VerificationReport,
     base_change_embed,
     eigenspace_check,
@@ -26,7 +25,6 @@ from sexticrank.generators import (
     shioda_height,
     subfamily_generator,
     verify_certificate_json,
-    verify_inclusion_chain,
 )
 from sexticrank.rankalg import CRITERIA, rank_breakdown
 
@@ -219,52 +217,33 @@ def test_descended_point_lies_on_the_curve_identically(k):
 
 def test_embed_to_sextic():
     w = subfamily_generator(rank_breakdown(1, 16), 1)
-    W = base_change_embed(w.point, (1, 1), (0, 6))
+    W = base_change_embed(w.point, 1)
     E = FunctionFieldCurve.sextic(1, 16)
     assert E.contains(W)
     assert W.to_str("t") == "(4/(t^2), (t^6 + 8)/(t^3))"
 
 
-def test_embed_identity_map():
-    w = subfamily_generator(rank_breakdown(1, 16), 2)
-    same = base_change_embed(w.point, (2, 1), (2, 1))  # d=1, e=0
-    assert same == w.point
-
-
 def test_embed_twists_by_shifting_the_denominator(monkeypatch):
-    # the twist (x, y) -> (x/u^2e, y/u^3e) moves the denominators only:
-    # no RatFunc power or quotient is taken
+    # the twist (x, y) -> (x/t^2k, y/t^3k) moves the denominators only:
+    # no RatFunc quotient is taken
     def refuse(*args):
-        raise AssertionError("base_change_embed built a power of u")
+        raise AssertionError("base_change_embed divided by a power of t")
 
-    monkeypatch.setattr(RatFunc, "__pow__", refuse)
     monkeypatch.setattr(RatFunc, "__truediv__", refuse)
-    arrows, twists = set(), set()
+    twists = set()
     for A, B in [(8, 9), (-3, 1), (4, 4), (1, 16), (-27, -432)]:
         bd = rank_breakdown(A, B)
         sextic = FunctionFieldCurve.sextic(A, B)
         for k in range(1, 5):
             w = subfamily_generator(bd, k)
             if w is not None:
-                W = base_change_embed(w.point, (k, 1), (0, 6))  # e = k
-                assert sextic.contains(W)
-        for r in verify_inclusion_chain(A, B):
-            if not r.skipped:
-                target = FunctionFieldCurve.subfamily(A, B, *r.target)
-                assert r.ok and target.contains(r.mapped_point)
-                arrows.add((r.source, r.target))
-                twists.add(r.e)
-    assert arrows == set(INCLUSION_ARROWS)
-    assert {1, 2} <= twists
+                assert sextic.contains(base_change_embed(w.point, k))
+                twists.add(k)
+    assert twists == {1, 2, 3, 4}
 
 
-def test_embed_rejects_crooked_maps():
-    w = subfamily_generator(rank_breakdown(1, 16), 1)
-    with pytest.raises(ValueError):
-        base_change_embed(w.point, (1, 1), (0, 2))  # twist (2*1-0)/6 not integral
-    with pytest.raises(ValueError):
-        base_change_embed(w.point, (1, 1), (7, 1))  # illegal target
-    assert base_change_embed(O, (1, 1), (0, 6)) == O
+def test_embed_keeps_the_zero_point():
+    assert base_change_embed(O, 1) == O
 
 
 def test_eigenspace_identity_tags_the_component():
@@ -274,7 +253,7 @@ def test_eigenspace_identity_tags_the_component():
             if not comp.satisfied:
                 continue
             w = subfamily_generator(bd, comp.k)
-            W = base_change_embed(w.point, (comp.k, 1), (0, 6))
+            W = base_change_embed(w.point, comp.k)
             assert eigenspace_check(comp.k, W)
             for other in (1, 2, 3, 4):
                 if other != comp.k:
@@ -375,7 +354,7 @@ def test_eigenspace_check_lifts_and_substitutes_nothing(monkeypatch):
 def test_multiples_nonzero():
     w = subfamily_generator(rank_breakdown(1, 16), 2)
     E = FunctionFieldCurve.sextic(1, 16)
-    W = base_change_embed(w.point, (2, 1), (0, 6))
+    W = base_change_embed(w.point, 2)
     assert multiples_nonzero(E, W, 6)
     # a genuine 3-torsion point is rejected through the symbolic fallback
     T = FunctionFieldCurve(Poly([0, 0, 1]))
@@ -387,7 +366,7 @@ def test_multiples_nonzero():
 def test_multiples_nonzero_takes_one_running_sum(monkeypatch):
     # P, 2P, ..., 6P on the first smooth fibre: five additions, no doublings
     w = subfamily_generator(rank_breakdown(1, 16), 2)
-    W = base_change_embed(w.point, (2, 1), (0, 6))
+    W = base_change_embed(w.point, 2)
     calls = []
     add = FunctionFieldCurve.add
 
@@ -423,8 +402,7 @@ def test_heights_match_the_group_law(A, B):
     assert ("witness eigenspace indices pairwise distinct, so the "
             f"witnesses' regulator is {math.prod(heights)}") in names
     E = FunctionFieldCurve.sextic(A, B)
-    pts = [base_change_embed(w.point, (w.k, 1), (0, 6))
-           for w in cert.witnesses]
+    pts = [base_change_embed(w.point, w.k) for w in cert.witnesses]
     # <P, Q> = (h(P + Q) - h(P) - h(Q)) / 2, the sum through the group law;
     # on the diagonal that is (h(2P) - 2 h(P)) / 2
     gram = [[Fraction(shioda_height(E.add(P, Q)) - shioda_height(P)
@@ -445,8 +423,7 @@ def test_witnesses_can_span_a_subgroup_of_index_2(A, B, half, regulator):
     E = FunctionFieldCurve.sextic(A, B)
     P = CurvePoint(parse_ratfunc(half[0], "t"), parse_ratfunc(half[1], "t"))
     assert E.contains(P)
-    W = {w.k: base_change_embed(w.point, (w.k, 1), (0, 6))
-         for w in cert.witnesses}
+    W = {w.k: base_change_embed(w.point, w.k) for w in cert.witnesses}
     assert E.add(P, P) == E.negate(E.add(W[1], W[4]))
     assert ("witness eigenspace indices pairwise distinct, so the "
             f"witnesses' regulator is {regulator}") in [
@@ -583,35 +560,6 @@ def test_verify_mutated_certificate_returns_a_report(data):
     assert all(isinstance(c.passed, bool) for c in report.checks)
 
 
-# -- inclusions ---------------------------------------------------------------------
-
-def test_inclusion_chain_two_pairs_cover_every_arrow():
-    seen_ok = set()
-    for (A, B) in [(1, 16), (16, 1)]:
-        for r in verify_inclusion_chain(A, B):
-            assert r.ok
-            if not r.skipped:
-                seen_ok.add((r.source, r.target))
-                tgt = FunctionFieldCurve.subfamily(A, B, *r.target)
-                assert tgt.contains(r.mapped_point)
-    assert seen_ok == set(INCLUSION_ARROWS)
-
-
-def test_inclusion_chain_reports_skips():
-    rows = verify_inclusion_chain(2, 3)  # rank 0: nothing to push anywhere
-    assert len(rows) == len(INCLUSION_ARROWS)
-    assert all(r.skipped for r in rows)
-
-
-def test_inclusion_twist_data():
-    by_arrow = {(r.source, r.target): (r.d, r.e)
-                for r in verify_inclusion_chain(1, 16)}
-    assert by_arrow[((3, 1), (0, 2))] == (2, 1)
-    assert by_arrow[((1, 1), (2, 2))] == (2, 0)
-    assert by_arrow[((4, 1), (0, 3))] == (3, 2)
-    assert by_arrow[((3, 1), (3, 3))] == (3, 1)
-
-
 # -- generators exist exactly when the criteria hold -----------------------------
 
 small_pairs = st.tuples(
@@ -633,7 +581,7 @@ def test_generator_iff_criterion(pair):
             continue
         assert w is not None
         assert w.curve.contains(w.point) and not w.point.is_infinity
-        W = base_change_embed(w.point, (comp.k, 1), (0, 6))
+        W = base_change_embed(w.point, comp.k)
         assert E.contains(W)
         assert eigenspace_check(comp.k, W)
 

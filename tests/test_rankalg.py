@@ -15,7 +15,7 @@ from sexticrank import exactnum, rankalg
 from sexticrank.cli import main
 from sexticrank.curve import FunctionFieldCurve
 from sexticrank.exactnum import SixthPowerClass
-from sexticrank.generators import full_certificate, verify_inclusion_chain
+from sexticrank.generators import full_certificate
 from sexticrank.oracle import DIRECT_SHAPES, cross_validate
 from sexticrank.rankalg import (
     CENSUS_TSV_HEADER,
@@ -72,8 +72,7 @@ def _engine_records():
     cert = full_certificate(-27, -432)
     fibers = FunctionFieldCurve.sextic(-27, -432).fiber_report()
     return [cert, cert.witnesses[0], cert.report, cert.report.checks[0],
-            verify_inclusion_chain(-27, -432)[0], fibers, fibers.fibers[0],
-            DIRECT_SHAPES[1],
+            fibers, fibers.fibers[0], DIRECT_SHAPES[1],
             cross_validate(rank_breakdown(-27, -432), 1, height=4)]
 
 
@@ -384,8 +383,8 @@ def test_census_pairs_take_no_class_products(monkeypatch):
 
 @pytest.mark.parametrize("bound", [1, 2, 30])
 def test_census_cube_table_is_the_cube_test_of_4ab(bound):
-    tables = rankalg._value_tables(bound)
-    values, cubes_4ab = tables.values, tables.cubes_4ab
+    values = sixth_power_free_values(bound)
+    cubes_4ab = rankalg._value_tables(bound).cubes_4ab
     assert cubes_4ab == sorted(cubes_4ab)
     for A in values:
         for B in values:
@@ -412,7 +411,8 @@ def test_census_pairs_take_no_root_extraction(monkeypatch):
 
 
 def test_census_calls_case_per_key_not_per_pair(monkeypatch):
-    values, facts, *_ = rankalg._value_tables(30)
+    values = sixth_power_free_values(30)
+    facts = rankalg._value_tables(30).facts
     calls = {"_case": 0, "_prefer_swap": 0}
     for name in calls:
         original = getattr(rankalg, name)
