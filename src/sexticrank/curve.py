@@ -5,12 +5,16 @@ C = s^k (A s^m + B), the chord-tangent group law, multiplication by
 omega, Galois conjugation over Q, and an exact Kodaira fiber analysis
 feeding the Shioda-Tate bound on the geometric Mordell-Weil rank.
 The group law also takes points with Q(sqrt(-3)) coefficients.
+
+Points and curves are ``NamedTuple``s of ``RatFunc``s: ``CurvePoint(x, y)``
+(``O = CurvePoint()``, with both coordinates None) and
+``FunctionFieldCurve(C, var)``.  The constructors coerce nothing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 from .exactnum import OMEGA
 from .funcfield import (
@@ -36,45 +40,15 @@ LEGAL_KM = frozenset(
 _KODAIRA = {1: "II", 2: "IV", 3: "I0*", 4: "IV*", 5: "II*"}
 
 
-class CurvePoint:
+class CurvePoint(NamedTuple):
     """Affine point (x, y) with rational-function coordinates, or O."""
 
-    __slots__ = ("x", "y")
-
-    def __init__(self, x: Optional[RatFunc] = None, y: Optional[RatFunc] = None):
-        if (x is None) != (y is None):
-            raise ValueError("give both coordinates or neither")
-        if x is not None:
-            if isinstance(x, Poly):
-                x = RatFunc(x)
-            if isinstance(y, Poly):
-                y = RatFunc(y)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CurvePoint is immutable")
-
-    @classmethod
-    def infinity(cls) -> "CurvePoint":
-        return cls()
+    x: Optional[RatFunc] = None
+    y: Optional[RatFunc] = None
 
     @property
     def is_infinity(self) -> bool:
         return self.x is None
-
-    def __eq__(self, other):
-        if not isinstance(other, CurvePoint):
-            return NotImplemented
-        return self.x == other.x and self.y == other.y
-
-    def __hash__(self):
-        return hash((self.x, self.y))
-
-    def __repr__(self):
-        if self.is_infinity:
-            return "CurvePoint.infinity()"
-        return f"CurvePoint({self.x!r}, {self.y!r})"
 
     def to_str(self, var: str = "t") -> str:
         if self.is_infinity:
@@ -85,7 +59,7 @@ class CurvePoint:
         return self.to_str()
 
 
-O = CurvePoint.infinity()
+O = CurvePoint()
 
 
 class FiberReport(NamedTuple):
@@ -106,21 +80,11 @@ class FiberSummary(NamedTuple):
     has_type_II: bool
 
 
-class FunctionFieldCurve:
+class FunctionFieldCurve(NamedTuple):
     """y^2 = x^3 + C(t) with C a nonzero rational function."""
 
-    __slots__ = ("C", "var")
-
-    def __init__(self, C: Union[Poly, RatFunc], var: str = "t"):
-        if isinstance(C, Poly):
-            C = RatFunc(C)
-        if C.is_zero():
-            raise ValueError("C must be nonzero")
-        object.__setattr__(self, "C", C)
-        object.__setattr__(self, "var", var)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FunctionFieldCurve is immutable")
+    C: RatFunc
+    var: str = "t"
 
     @classmethod
     def sextic(cls, A, B) -> "FunctionFieldCurve":
@@ -136,20 +100,9 @@ class FunctionFieldCurve:
         if (k, m) not in LEGAL_KM:
             raise ValueError(f"illegal exponent pair (k, m) = ({k}, {m})")
         coeffs = [Fraction(0)] * k + [B] + [Fraction(0)] * (m - 1) + [A]
-        return cls(Poly(coeffs), var=var)
+        return cls(RatFunc(Poly(coeffs)), var=var)
 
     # -- structure -----------------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, FunctionFieldCurve):
-            return NotImplemented
-        return self.C == other.C
-
-    def __hash__(self):
-        return hash(self.C)
-
-    def __repr__(self):
-        return f"FunctionFieldCurve({self.C!r})"
 
     def __str__(self):
         c = self.C.to_str(self.var)
@@ -240,7 +193,7 @@ class FunctionFieldCurve:
         c0 = self.C.evaluate(t0)
         if not c0:
             raise ValueError(f"fiber at {t0} is singular")
-        return FunctionFieldCurve(Poly.constant(c0), var=self.var)
+        return FunctionFieldCurve(RatFunc.constant(c0), var=self.var)
 
     def specialize_point(self, P: CurvePoint, t0) -> CurvePoint:
         """P evaluated at t = t0; ZeroDivisionError if a coordinate has

@@ -405,9 +405,6 @@ class QuadExt:
             return NotImplemented
         return QuadExt(self.a - other.a, self.b - other.b)
 
-    def __rsub__(self, other):
-        return -(self - other)
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:

@@ -123,9 +123,6 @@ class Poly:
             return NotImplemented
         return self + (-s)
 
-    def __rsub__(self, other):
-        return -(self - other)
-
     def __mul__(self, other):
         if not isinstance(other, Poly):
             s = _scalar(other)
@@ -338,9 +335,6 @@ class RatFunc:
         if o is None:
             return NotImplemented
         return self + (-o)
-
-    def __rsub__(self, other):
-        return -(self - other)
 
     def __mul__(self, other):
         o = self._coerce(other)

@@ -48,7 +48,7 @@ def test_constructors():
 
 
 def test_membership():
-    E = FunctionFieldCurve(Poly([0, 0, 1]))  # y^2 = x^3 + t^2
+    E = FunctionFieldCurve(RatFunc(Poly([0, 0, 1])))  # y^2 = x^3 + t^2
     P = CurvePoint(RatFunc.constant(0), RatFunc(Poly([0, 1])))
     assert E.contains(P)
     assert E.contains(O)
@@ -77,7 +77,7 @@ def test_membership_with_general_denominators():
 def test_group_law_frozen_values():
     # constant sections of y^2 = x^3 + 1: (2, 3) generates a cyclic group
     # of order 6 through (0, 1), (-1, 0), (0, -1), (2, -3)
-    E = FunctionFieldCurve(Poly([1]))
+    E = FunctionFieldCurve(RatFunc(Poly([1])))
     P = const_point(2, 3)
     assert E.contains(P)
     P2 = E.add(P, P)
@@ -95,14 +95,14 @@ def test_group_law_frozen_values():
 
 def test_three_torsion_at_x_zero():
     # points with x = 0 are inflection points, hence 3-torsion
-    E = FunctionFieldCurve(Poly([0, 0, 1]))
+    E = FunctionFieldCurve(RatFunc(Poly([0, 0, 1])))
     P = CurvePoint(RatFunc.constant(0), RatFunc(Poly([0, 1])))
     assert E.add(P, P) == E.negate(P)
     assert multiples(E, P, 3)[2] == O
 
 
 def test_group_law_associativity_on_torsion():
-    E = FunctionFieldCurve(Poly([1]))
+    E = FunctionFieldCurve(RatFunc(Poly([1])))
     P = const_point(QuadExt(2), QuadExt(3))
     pts = [O] + multiples(E, P, 5)
     pts += [CurvePoint(OMEGA * Q.x, -Q.y) for Q in pts if not Q.is_infinity]
@@ -130,7 +130,7 @@ def test_tau_structure():
 
 
 def test_galois_conjugation():
-    E = FunctionFieldCurve(Poly([1]))
+    E = FunctionFieldCurve(RatFunc(Poly([1])))
     P = const_point(QuadExt(2), QuadExt(3))
     assert E.galois_conj_point(P) == P  # rational points are fixed
     Q = CurvePoint(OMEGA * P.x, -P.y)
@@ -145,7 +145,7 @@ def test_zeta6_substitution_fixes_sextic():
 
 
 def test_point_substitute():
-    E = FunctionFieldCurve(Poly([0, 0, 1]))  # y^2 = x^3 + t^2
+    E = FunctionFieldCurve(RatFunc(Poly([0, 0, 1])))  # y^2 = x^3 + t^2
     P = CurvePoint(RatFunc.constant(0), RatFunc(Poly([0, 1])))
     inv = RatFunc(Poly([1]), Poly([0, 1]))
     Q = E.point_substitute(P, inv)
@@ -187,7 +187,7 @@ def test_fiber_report_generic(km):
 
 def test_fiber_report_repeated_roots():
     # C = t^2 (t - 1): places of multiplicity 2, 1, and a pole order 3 at infinity
-    E = FunctionFieldCurve(Poly([0, 0, -1, 1]))
+    E = FunctionFieldCurve(RatFunc(Poly([0, 0, -1, 1])))
     rep = E.fiber_report()
     assert rep.total_v_delta == 12
     assert sorted(f.kodaira for f in rep.fibers) == ["I0*", "II", "IV"]
@@ -196,11 +196,11 @@ def test_fiber_report_repeated_roots():
 
 def test_fiber_report_rejects_bad_input():
     with pytest.raises(ValueError):
-        FunctionFieldCurve(Poly([1])).fiber_report()  # constant
+        FunctionFieldCurve(RatFunc(Poly([1]))).fiber_report()  # constant
     with pytest.raises(ValueError):
-        FunctionFieldCurve(Poly([0] * 7 + [1])).fiber_report()  # degree 7
+        FunctionFieldCurve(RatFunc(Poly([0] * 7 + [1]))).fiber_report()  # degree 7
     with pytest.raises(ValueError):
-        FunctionFieldCurve(Poly([0, 0, 0, 0, 0, 0, 1])).fiber_report()  # t^6: order 6 zero
+        FunctionFieldCurve(RatFunc(Poly([0, 0, 0, 0, 0, 0, 1]))).fiber_report()  # t^6: order 6 zero
     with pytest.raises(ValueError):
         FunctionFieldCurve(RatFunc(Poly([1]), Poly([0, 1]))).fiber_report()
 

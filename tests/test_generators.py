@@ -357,7 +357,7 @@ def test_multiples_nonzero():
     W = base_change_embed(w.point, 2)
     assert multiples_nonzero(E, W, 6)
     # a genuine 3-torsion point is rejected through the symbolic fallback
-    T = FunctionFieldCurve(Poly([0, 0, 1]))
+    T = FunctionFieldCurve(RatFunc(Poly([0, 0, 1])))
     P = CurvePoint(RatFunc.constant(0), RatFunc(Poly([0, 1])))
     assert not multiples_nonzero(T, P, 6)
     assert not multiples_nonzero(E, O, 6)

@@ -1,7 +1,11 @@
 """The package's exports: six names, three of them served on first
-access from the certificate and oracle modules."""
+access from the certificate and oracle modules; and README's Library
+block, run as written."""
 
+import ast
 import importlib
+import re
+from pathlib import Path
 
 import pytest
 
@@ -32,3 +36,22 @@ def test_deferred_names_are_their_modules_own(name, module):
 def test_unknown_attribute_is_named():
     with pytest.raises(AttributeError, match="'no_such_name'"):
         sexticrank.no_such_name
+
+
+def test_readme_library_block_prints_what_its_comments_say():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"## Library\n.*?```python\n(.*?)```", readme,
+                      re.S).group(1)
+    lines = block.splitlines()
+    namespace = {}
+    checked = 0
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            expr = ast.get_source_segment(block, stmt)
+            comment = lines[stmt.lineno - 1].partition("#")[2].strip()
+            assert comment.startswith(repr(eval(expr, namespace))), expr
+            checked += 1
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"),
+                 namespace)
+    assert checked  # the block still has commented expressions

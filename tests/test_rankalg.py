@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from sexticrank import exactnum, rankalg
 from sexticrank.cli import main
-from sexticrank.curve import FunctionFieldCurve
+from sexticrank.curve import FunctionFieldCurve, O
 from sexticrank.exactnum import SixthPowerClass
 from sexticrank.generators import full_certificate
 from sexticrank.oracle import DIRECT_SHAPES, cross_validate
@@ -68,12 +68,15 @@ def test_records_of_one_pair_are_equal_and_of_two_pairs_not():
 
 def _engine_records():
     """The certificate of (-27, -432), then one record of each other kind
-    that certify and oracle build."""
+    that certify and oracle build, points and curves among them."""
     cert = full_certificate(-27, -432)
-    fibers = FunctionFieldCurve.sextic(-27, -432).fiber_report()
-    return [cert, cert.witnesses[0], cert.report, cert.report.checks[0],
+    witness = cert.witnesses[0]
+    sextic = FunctionFieldCurve.sextic(-27, -432)
+    fibers = sextic.fiber_report()
+    return [cert, witness, cert.report, cert.report.checks[0],
             fibers, fibers.fibers[0], DIRECT_SHAPES[1],
-            cross_validate(rank_breakdown(-27, -432), 1, height=4)]
+            cross_validate(rank_breakdown(-27, -432), 1, height=4),
+            O, witness.point, witness.curve, sextic]
 
 
 def test_engine_records_refuse_assignment():
@@ -89,6 +92,8 @@ def test_engine_records_hash_unless_they_hold_a_dict():
         hash(record)
     with pytest.raises(TypeError):  # its data is the certificate's dict
         hash(cert)
+    P = cert.witnesses[0].point
+    assert hash(P) == hash((P.x, P.y))  # the hash of its coordinate pair
 
 
 def test_certificate_stores_its_checks_in_their_record_form():
