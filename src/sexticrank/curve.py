@@ -99,8 +99,7 @@ class FunctionFieldCurve(NamedTuple):
             raise ValueError("A and B must be nonzero")
         if (k, m) not in LEGAL_KM:
             raise ValueError(f"illegal exponent pair (k, m) = ({k}, {m})")
-        coeffs = [Fraction(0)] * k + [B] + [Fraction(0)] * (m - 1) + [A]
-        return cls(RatFunc(Poly(coeffs)), var=var)
+        return cls(RatFunc(Poly.monomial(B, k) + Poly.monomial(A, k + m)), var=var)
 
     # -- structure -----------------------------------------------------------
 
@@ -225,7 +224,7 @@ class FunctionFieldCurve(NamedTuple):
         k0 = p.root_multiplicity_at_zero()
         if k0:
             fibers.append(self._orbit(f"{self.var} = 0", 1, k0))
-        profile = _multiplicity_profile(_strip_zero_root(p, k0))
+        profile = _multiplicity_profile(p.shift(-k0))
         for mult in sorted(profile):
             count = profile[mult]
             desc = f"{count} root(s) of C/{self.var}^{k0}" if k0 else f"{count} root(s) of C"
@@ -260,12 +259,6 @@ def _conj_ratfunc(f: RatFunc) -> RatFunc:
     f = lift_to_ext(f)
     conj = lambda c: c.conj()
     return RatFunc(f.num.map_coeffs(conj), f.den.map_coeffs(conj))
-
-
-def _strip_zero_root(p: Poly, k0: int) -> Poly:
-    if not k0:
-        return p
-    return Poly(p.coeffs[k0:])
 
 
 def _multiplicity_profile(p: Poly) -> dict:

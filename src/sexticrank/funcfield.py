@@ -1,5 +1,9 @@
 """Univariate polynomials and rational functions with exact coefficients.
 
+A polynomial stores only its nonzero terms, as (exponent, coefficient)
+pairs, and its arithmetic walks only those: a point that a certificate
+pulls back along s = t^6 is nonzero at every sixth power of t only.
+
 Each coefficient carries its own type: ``int`` becomes
 ``fractions.Fraction``, and a :class:`~sexticrank.exactnum.QuadExt`
 (an element of Q(sqrt(-3))) stays as given, so the two mix in
@@ -38,66 +42,86 @@ def _scalar(c):
     return NotImplemented
 
 
-class Poly:
-    """Immutable dense polynomial; ``coeffs[i]`` is the t^i coefficient."""
+def _coeff(c):
+    """c as a stored coefficient: an int as a Fraction, anything else as given."""
+    return Fraction(c) if isinstance(c, int) else c
 
-    __slots__ = ("coeffs",)
+
+class Poly:
+    """Immutable sparse polynomial.
+
+    ``terms`` holds one (exponent, coefficient) pair per nonzero
+    coefficient, exponents strictly ascending, so a product or a sum
+    touches only nonzero terms.  ``Poly(coeffs)`` reads a dense list,
+    with ``coeffs[i]`` the t^i coefficient.
+    """
+
+    __slots__ = ("terms",)
 
     def __init__(self, coeffs: Iterable):
-        cs = [Fraction(c) if isinstance(c, int) else c for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "terms", tuple(
+            (i, _coeff(c)) for i, c in enumerate(coeffs) if c))
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
+
+    @classmethod
+    def _of(cls, terms: Iterable) -> "Poly":
+        """The polynomial of terms already ascending and nonzero."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "terms", tuple(terms))
+        return p
+
+    @classmethod
+    def _collect(cls, acc: dict) -> "Poly":
+        """The polynomial of an exponent -> coefficient dict, zeros dropped."""
+        return cls._of([term for term in sorted(acc.items()) if term[1]])
 
     @classmethod
     def constant(cls, c) -> "Poly":
         return cls([c])
 
     @classmethod
-    def variable(cls) -> "Poly":
-        return cls([0, 1])
-
-    @classmethod
     def monomial(cls, c, k: int) -> "Poly":
-        return cls([0] * k + [c])
+        return cls._of(((k, _coeff(c)),) if c else ())
 
     # -- structure ----------------------------------------------------------
 
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
+        return self.terms[-1][0] if self.terms else -1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.terms
 
     def leading(self):
-        if not self.coeffs:
+        if not self.terms:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.terms[-1][1]
 
     def __getitem__(self, k: int):
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return Fraction(0)
+        return dict(self.terms).get(k, Fraction(0))
+
+    def items(self) -> tuple:
+        """(exponent, coefficient) of each nonzero term, ascending."""
+        return self.terms
 
     def monomial_degree(self) -> Optional[int]:
         """k when self is c*t^k with c nonzero, otherwise None."""
-        if not self.coeffs or any(self.coeffs[:-1]):
-            return None
-        return self.degree
+        return self.terms[0][0] if len(self.terms) == 1 else None
 
     def root_multiplicity_at_zero(self) -> int:
         """Order of vanishing at t = 0 (0 for nonzero constant term)."""
-        if not self.coeffs:
+        if not self.terms:
             raise ValueError("zero polynomial vanishes everywhere")
-        k = 0
-        while not self.coeffs[k]:
-            k += 1
-        return k
+        return self.terms[0][0]
+
+    def shift(self, k: int) -> "Poly":
+        """t^k * self; for k < 0, self must be divisible by t^-k."""
+        if self.terms and self.terms[0][0] + k < 0:
+            raise ValueError(f"{self} is not divisible by t^{-k}")
+        return Poly._of((e + k, c) for e, c in self.terms)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -107,13 +131,15 @@ class Poly:
             if s is NotImplemented:
                 return NotImplemented
             other = Poly.constant(s)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly([self[i] + other[i] for i in range(n)])
+        acc = dict(self.terms)
+        for e, c in other.terms:
+            acc[e] = acc[e] + c if e in acc else c
+        return Poly._collect(acc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs])
+        return Poly._of((e, -c) for e, c in self.terms)
 
     def __sub__(self, other):
         if isinstance(other, Poly):
@@ -128,34 +154,36 @@ class Poly:
             s = _scalar(other)
             if s is NotImplemented:
                 return NotImplemented
-            return Poly([c * s for c in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return Poly([])
-        # only nonzero terms of either side are multiplied: embedded
-        # points are nonzero at every sixth power of t only
-        terms = [(j, b) for j, b in enumerate(other.coeffs) if b]
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in terms:
-                    out[i + j] = out[i + j] + a * b
-        return Poly(out)
+            return Poly._of((e, c * s) for e, c in self.terms) if s else Poly([])
+        acc = {}
+        for i, a in self.terms:
+            for j, b in other.terms:
+                k = i + j
+                acc[k] = acc[k] + a * b if k in acc else a * b
+        return Poly._collect(acc)
 
     __rmul__ = __mul__
 
     def __divmod__(self, other: "Poly"):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q = Poly([])
-        r = self
+        d, rest = other.degree, other.terms[:-1]
         inv_lead = Fraction(1) / other.leading()
-        while not r.is_zero() and r.degree >= other.degree:
-            k = r.degree - other.degree
-            c = r.leading() * inv_lead
-            term = Poly.monomial(c, k)
-            q = q + term
-            r = r - term * other
-        return q, r
+        quot, rem = [], dict(self.terms)
+        while rem:
+            top = max(rem)
+            if top < d:
+                break
+            c = rem.pop(top) * inv_lead
+            quot.append((top - d, c))
+            for j, b in rest:
+                e = j + top - d
+                v = rem[e] - c * b if e in rem else -(c * b)
+                if v:
+                    rem[e] = v
+                else:
+                    del rem[e]
+        return Poly._of(reversed(quot)), Poly._collect(rem)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -166,16 +194,19 @@ class Poly:
     # -- evaluation and substitution -----------------------------------------
 
     def evaluate(self, v):
-        """Horner evaluation; v may live in any ring containing the coefficients."""
-        if not self.coeffs:
-            return Fraction(0)
-        acc = self.coeffs[-1]
-        for c in reversed(self.coeffs[:-1]):
-            acc = acc * v + c
+        """Horner evaluation that adds only the nonzero terms; v may live
+        in any ring containing the coefficients."""
+        acc, k = Fraction(0), self.degree
+        for e, c in reversed(self.terms):
+            for _ in range(k - e):
+                acc = acc * v
+            acc, k = acc + c, e
+        for _ in range(k):
+            acc = acc * v
         return acc
 
     def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
+        return Poly._of((e - 1, e * c) for e, c in self.terms if e)
 
     def monic(self) -> "Poly":
         if self.is_zero():
@@ -183,38 +214,36 @@ class Poly:
         return self * (Fraction(1) / self.leading())
 
     def map_coeffs(self, fn) -> "Poly":
-        return Poly([fn(c) for c in self.coeffs])
+        """fn applied to each nonzero coefficient."""
+        return Poly._collect({e: _coeff(fn(c)) for e, c in self.terms})
 
     # -- plumbing --------------------------------------------------------------
 
     def __eq__(self, other):
         if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
+            return self.terms == other.terms
         s = _scalar(other)
         if s is NotImplemented:
             return NotImplemented
         return self == Poly.constant(s)
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.terms)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash(self.terms)
 
     def __repr__(self):
-        return f"Poly({list(self.coeffs)!r})"
+        return f"Poly({[self[i] for i in range(self.degree + 1)]!r})"
 
     def __str__(self):
         return self.to_str()
 
     def to_str(self, var: str = "t") -> str:
-        if not self.coeffs:
+        if not self.terms:
             return "0"
         parts = []
-        for k in range(self.degree, -1, -1):
-            c = self[k]
-            if not c:
-                continue
+        for k, c in reversed(self.terms):
             sign, body = _coeff_term(c, k, var)
             if not parts:
                 parts.append(body if sign > 0 else "-" + body)
@@ -272,13 +301,12 @@ class RatFunc:
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if den.monomial_degree() is not None:
-            # den = c*t^k: the gcd is a power of t, cancelled by slicing
+            # den = c*t^k: the gcd is a power of t, cancelled by shifting
             m = den.degree
             if num:
                 m = min(m, num.root_multiplicity_at_zero())
             if m:
-                num = Poly(num.coeffs[m:])
-                den = Poly(den.coeffs[m:])
+                num, den = num.shift(-m), den.shift(-m)
         else:
             g = poly_gcd(num, den)
             if g.degree > 0:
@@ -299,7 +327,7 @@ class RatFunc:
 
     @classmethod
     def variable(cls) -> "RatFunc":
-        return cls(Poly.variable())
+        return cls(Poly([0, 1]))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -384,16 +412,13 @@ class RatFunc:
         def spread(p: Poly):
             """(q, k) with p(c*t^d) = q * t^k and q a polynomial."""
             k = min(0, d * p.degree)
-            out = [Fraction(0)] * (abs(d) * p.degree + 1)
-            ci = Fraction(1)
-            for i, coeff in enumerate(p.coeffs):
-                out[d * i - k] = coeff * ci
-                ci = ci * c
-            return Poly(out), k
+            terms = [(d * i - k, coeff * c ** i) for i, coeff in p.terms]
+            return Poly._of(terms if d > 0 else reversed(terms)), k
 
         (num, kn), (den, kd) = spread(self.num), spread(self.den)
-        shift = Poly.monomial(1, abs(kn - kd))
-        return RatFunc(num * shift, den) if kn > kd else RatFunc(num, den * shift)
+        if kn > kd:
+            return RatFunc(num.shift(kn - kd), den)
+        return RatFunc(num, den.shift(kd - kn))
 
     # -- plumbing ----------------------------------------------------------------
 
@@ -500,11 +525,11 @@ def parse_ratfunc(text: str, var: str) -> RatFunc:
         raise ValueError(f"{excerpt(text)} has more than {MAX_PARSE_TERMS} "
                          "terms, above the reader's limit")
     words = ("- " + num[1:] if num.startswith("-") else "+ " + num).split(" ")
-    terms = [_term(body, var) for body in words[1::2]]
-    coeffs = [Fraction(0)] * (max(k for k, _ in terms) + 1)
-    for sign, (k, c) in zip(words[::2], terms):
-        coeffs[k] = -c if sign == "-" else c
-    f = RatFunc(Poly(coeffs), Poly.monomial(1, e))
+    terms = {}
+    for sign, body in zip(words[::2], words[1::2]):
+        k, c = _term(body, var)
+        terms[k] = -c if sign == "-" else c
+    f = RatFunc(Poly._collect(terms), Poly.monomial(1, e))
     if f.to_str(var) != text:
         raise ValueError(f"{excerpt(text)} is not canonical; it is "
                          f"written {excerpt(f.to_str(var))}")

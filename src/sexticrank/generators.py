@@ -197,17 +197,17 @@ def base_change_embed(P: CurvePoint, k: int) -> CurvePoint:
 
     The map is the degree-6 base change s = t^6, then the twist
     (x, y) -> (x/t^2k, y/t^3k), which takes y^2 = x^3 + t^6k (A t^6 + B)
-    onto the sextic.  Both steps are monomial maps: the substitution
-    spreads the coefficients to every sixth index and the twist moves
-    each denominator by a power of t, so a point over a monomial
-    denominator stays over one.
+    onto the sextic.  Both steps map exponents: the substitution sends
+    each exponent e to 6e and the twist shifts each denominator's
+    exponents by 2k or 3k, so a point over a monomial denominator stays
+    over one.
     """
     if P.is_infinity:
         return P
     inner = RatFunc(Poly.monomial(1, 6))
     x, y = P.x.substitute(inner), P.y.substitute(inner)
-    return CurvePoint(RatFunc(x.num, x.den * Poly.monomial(1, 2 * k)),
-                      RatFunc(y.num, y.den * Poly.monomial(1, 3 * k)))
+    return CurvePoint(RatFunc(x.num, x.den.shift(2 * k)),
+                      RatFunc(y.num, y.den.shift(3 * k)))
 
 
 #: fiber positions tried when certifying nonvanishing by specialization
@@ -246,9 +246,8 @@ def multiples_nonzero(E: FunctionFieldCurve, P: CurvePoint, n_max: int = 6) -> b
 def _scaled_by_zeta6_power(f: RatFunc, e: int) -> bool:
     """f(zeta6*t) == zeta6^e * f, read off the exponents of f."""
     delta = f.den.degree
-    return (all((j - delta) % 6 == 0 for j, c in enumerate(f.den.coeffs) if c)
-            and all((i - delta - e) % 6 == 0
-                    for i, c in enumerate(f.num.coeffs) if c))
+    return (all((j - delta) % 6 == 0 for j, _ in f.den.items())
+            and all((i - delta - e) % 6 == 0 for i, _ in f.num.items()))
 
 
 def eigenspace_check(k: int, embedded: CurvePoint) -> bool:

@@ -393,8 +393,7 @@ def _collect(solutions, shape: SearchShape, A, B, k: int) -> tuple:
 
 def _canonical_sign(P: CurvePoint) -> CurvePoint:
     """P or -P, whichever has y with a positive leading coefficient."""
-    coeffs = () if P.is_infinity else P.y.num.coeffs
-    if coeffs and coeffs[-1] < 0:
+    if not P.is_infinity and P.y and P.y.num.leading() < 0:
         return CurvePoint(P.x, -P.y)
     return P
 
@@ -415,7 +414,7 @@ def point_height(P: CurvePoint) -> int:
     for coord in (P.x, P.y):
         if not coord.is_polynomial():
             raise ValueError("expected polynomial coordinates")
-        for c in coord.num.coeffs:
+        for _, c in coord.num.items():
             worst = max(worst, abs(c.numerator), c.denominator)
     return worst
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sexticrank.curve import CurvePoint
+from sexticrank import funcfield
+from sexticrank.curve import CurvePoint, FunctionFieldCurve
 from sexticrank.exactnum import OMEGA, QuadExt
 from sexticrank.funcfield import (
     MAX_PARSE_DEGREE,
@@ -18,6 +19,7 @@ from sexticrank.funcfield import (
     poly_gcd,
     restrict_to_rational,
 )
+from sexticrank.generators import base_change_embed, full_certificate
 
 #: primitive sixth root of unity -omega
 ZETA6 = -OMEGA
@@ -58,7 +60,7 @@ def test_quadext_coeff_display_round_trip():
 def test_parse_basic():
     f = parse_ratfunc("(3/2)*t^2 - 1", "t")
     assert f == RatFunc(Poly([-1, 0, Fraction(3, 2)]))
-    assert all(type(c) is Fraction for c in f.num.coeffs + f.den.coeffs)
+    assert all(type(c) is Fraction for _, c in f.num.terms + f.den.terms)
     assert parse_ratfunc("(t^3 + 2)/(t^2)", "t") == RatFunc(Poly([2, 0, 0, 1]),
                                                             Poly([0, 0, 1]))
     assert parse_ratfunc("-t", "t") == RatFunc(Poly([0, -1]))
@@ -200,6 +202,65 @@ def test_product_multiplies_no_zero_coefficient():
     assert len(calls) == 2 * 2 * 3
 
 
+@pytest.fixture
+def zeros_made(monkeypatch):
+    """Every zero that funcfield constructs as a Fraction, and every
+    Fraction product with a zero factor, while the test runs."""
+    made = []
+
+    class Spy(type):
+        def __instancecheck__(cls, obj):
+            return isinstance(obj, Fraction)
+
+        def __call__(cls, *args):
+            f = Fraction(*args)
+            if not f:
+                made.append(("constructed", args))
+            return f
+
+    def counted(op):
+        def wrapped(a, b):
+            if not (a and b):
+                made.append(("multiplied", a, b))
+            return op(a, b)
+        return wrapped
+
+    monkeypatch.setattr(funcfield, "Fraction", Spy("Fraction", (), {}))
+    monkeypatch.setattr(Fraction, "__mul__", counted(Fraction.__mul__))
+    monkeypatch.setattr(Fraction, "__rmul__", counted(Fraction.__rmul__))
+    return made
+
+
+def test_substitute_creates_no_zero_coefficient(zeros_made):
+    f = RatFunc(Poly([0, 0, 3, 0, 0, 0, -5]), Poly([0, 1, 0, 0, 2]))
+    g = RatFunc(Poly([7, 0, 0, 1]), Poly([0, 0, 0, 0, 0, 1]))
+    outer = [f.substitute(RatFunc(Poly.monomial(2, 6))),
+             g.substitute(RatFunc(Poly.monomial(1, 6))),
+             g.substitute(RatFunc(Poly.constant(3), Poly.monomial(1, 2)))]
+    assert zeros_made == []
+    assert outer[1] == RatFunc(Poly([7] + [0] * 17 + [1]), Poly.monomial(1, 30))
+    # (7 + t^3)/t^5 at 3/t^2 is (27 t^4 + 7 t^10)/243
+    assert outer[2] == RatFunc(Poly([0, 0, 0, 0, 27, 0, 0, 0, 0, 0, 7]),
+                               Poly.constant(243))
+
+
+def test_monomial_normalisation_creates_no_zero_coefficient(zeros_made):
+    num = Poly([0, 0, 0, 3, 0, 0, 0, 0, 0, -5, 0, 0, 0, 0, 0, 1])
+    f = RatFunc(num, Poly.monomial(4, 5))
+    assert zeros_made == []
+    assert f == RatFunc(Poly([Fraction(3, 4), 0, 0, 0, 0, 0, Fraction(-5, 4),
+                              0, 0, 0, 0, 0, Fraction(1, 4)]), Poly.monomial(1, 2))
+
+
+def test_base_change_embed_creates_no_zero_coefficient(zeros_made):
+    witnesses = full_certificate(-27, -432).witnesses
+    zeros_made.clear()
+    embedded = [base_change_embed(w.point, w.k) for w in witnesses]
+    assert zeros_made == []
+    sextic = FunctionFieldCurve.sextic(-27, -432)
+    assert len(embedded) == 3 and all(sextic.contains(P) for P in embedded)
+
+
 def test_substitute_inversion():
     f = RatFunc(Poly([1, 0, 1]))  # t^2 + 1
     inv = RatFunc(Poly([1]), Poly([0, 1]))  # 1/t
@@ -251,10 +312,10 @@ def test_lift_restrict_round_trip():
 
 def test_scalar_rule():
     # an int becomes a Fraction, so no division yields a float
-    assert all(type(c) is Fraction for c in Poly([1, 2]).coeffs)
+    assert all(type(c) is Fraction for _, c in Poly([1, 2]).terms)
     half = RatFunc(Poly([1]), Poly([2]))
     assert half == RatFunc.constant(Fraction(1, 2))
-    assert [type(c) for c in half.num.coeffs + half.den.coeffs] == [Fraction, Fraction]
+    assert [type(c) for _, c in half.num.terms + half.den.terms] == [Fraction, Fraction]
     for scalar in [0.5, 1j, "2"]:
         with pytest.raises(TypeError):
             Poly([1]) * scalar
@@ -300,10 +361,10 @@ def spread_polys(coeffs):
     lambda coeffs: st.tuples(spread_polys(coeffs), spread_polys(coeffs))))
 def test_spread_product_matches_the_schoolbook_sum(ab):
     a, b = ab
-    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
-    for i, x in enumerate(a.coeffs):
-        for j, y in enumerate(b.coeffs):
-            out[i + j] = out[i + j] + x * y
+    out = [0] * (a.degree + b.degree + 1)
+    for i in range(a.degree + 1):
+        for j in range(b.degree + 1):
+            out[i + j] = out[i + j] + a[i] * b[j]
     assert a * b == Poly(out)
 
 

@@ -163,7 +163,7 @@ def test_descent_combine_is_rational_and_nonzero():
             continue
         assert w.used_descent
         assert all(type(c) is Fraction
-                   for c in w.point.x.num.coeffs + w.point.x.den.coeffs)
+                   for _, c in w.point.x.num.terms + w.point.x.den.terms)
         assert not w.point.is_infinity
         E = w.curve
         tw = E.omega_point(pre_descent(bd, w))

@@ -347,7 +347,7 @@ def test_search_that_finds_nothing_builds_no_curve(monkeypatch):
 def test_found_points_are_sign_normalized():
     # leading y coefficient positive, negation deduplicated
     (pt,) = search_points(1, 16, 1, DIRECT_SHAPES[1], 12)
-    lead = pt.y.num.coeffs[-1]
+    lead = pt.y.num.leading()
     assert lead > 0
 
 
