@@ -23,6 +23,20 @@ are exact.  Soundness does not rest on the plan: every emitted point
 passes a final on-curve verification, so the plan only affects
 completeness.
 
+Each enumeration level walks only the values that can extend.  Before
+it walks the values of its variable v, ``_screen`` builds one nonzero
+integer polynomial R(v) from the level's bound open equations: while
+none is in v alone, an equation c*u + rest, with u another unknown, c
+a nonzero integer and rest free of u, eliminates u = -rest/c from the
+others.  Every solution satisfies every equation, and a constant pivot
+has no special values of v, so R vanishes at every value of v that
+leads to a point; the level walks the values of height <= the bound
+with R(v) = 0, or all of them when the elimination reaches no R.  The
+roots of R are not solved for, since the height bound on v would then
+be lost.  On the six descent pairs of the oracle benchmark at k = 1, R
+is a cubic at every a1 level, so each walks at most 3 of the 87 values
+of height <= 8 instead of all of them.
+
 The search walks each pair {P, -P} once.  y enters the equations only
 through y^2, so every monomial has degree 0 or 2 in the b's, and
 negating all of them changes no equation's value and none of the
@@ -98,8 +112,8 @@ DESCENT_SHAPES = {
 
 #: largest coefficient height searched: heights_ordered(H) has about
 #: 1.2 H^2 values, and the descent-shape search `oracle -12 36 --k 1
-#: --height H` takes about 0.5 s at H = 12, 1.4 s at 16 and 1.9-2.2 s
-#: at 20 (CPython 3.11, 2-core x86-64 machine)
+#: --height H` takes about 0.13 s at H = 12, 0.2 s at 16 and 0.25-0.4 s
+#: at 20 in a fresh process (CPython 3.11, 2-core x86-64 machine)
 MAX_HEIGHT = 20
 
 
@@ -300,6 +314,90 @@ def _pick_variable(unsettled, variables, assign):
                default=None)
 
 
+def _times(P: dict, Q: dict) -> dict:
+    """The product of two integer polynomials, each a dict from sorted
+    ((variable, exponent > 0), ...) tuples to coefficients."""
+    out = {}
+    for m1, c1 in P.items():
+        for m2, c2 in Q.items():
+            m = dict(m1)
+            for w, e in m2:
+                m[w] = m.get(w, 0) + e
+            m = tuple(sorted(m.items()))
+            out[m] = out.get(m, 0) + c1 * c2
+    return out
+
+
+def _eliminate(P: dict, u: str, c: int, minus_rest: dict) -> dict:
+    """c^deg_u(P) times P at u = minus_rest / c, by Horner's rule."""
+    parts = {}
+    for m, d in P.items():
+        e = next((x for w, x in m if w == u), 0)
+        parts.setdefault(e, {})[tuple(n for n in m if n[0] != u)] = d
+    top = max(parts, default=0)
+    if not top:
+        return P
+    acc = parts[top]
+    for e in range(top - 1, -1, -1):
+        acc = _times(acc, minus_rest)
+        for m, d in parts.get(e, {}).items():
+            acc[m] = acc.get(m, 0) + d * c ** (top - e)
+    return {m: d for m, d in acc.items() if d}
+
+
+def _pivot(P: dict, var: str):
+    """(u, c) when P is c*u + rest with u != var, c a nonzero integer
+    and rest free of u, else None."""
+    for m, c in P.items():
+        if len(m) == 1 and m[0][1] == 1 and m[0][0] != var:
+            u = m[0][0]
+            if sum(w == u for n in P for w, _ in n) == 1:
+                return u, c
+    return None
+
+
+def _screen(var: str, eqs) -> Optional[list]:
+    """Integer coefficients [r0, r1, ...] of a nonzero R(var) that is 0
+    at every value of var which some solution of the equations takes,
+    or None when the elimination below reaches no such polynomial.
+
+    Each equation is read with every q of its ``terms`` set to 1, a
+    positive multiple of it.  While none is in var alone and some is
+    c*u + rest (``_pivot``), that one is dropped and u = -rest/c is put
+    into the others, each scaled by c^deg_u to stay integral.  A
+    constant pivot has no special values, so every solution satisfies
+    what is left, and R is the first of it in var alone."""
+    polys = [{tuple((w, e) for w, e, _ in f if e): c for c, f in eq.terms}
+             for eq in eqs]
+    while True:
+        for P in polys:
+            if P and all(w == var for m in P for w, _ in m):
+                R = {m[0][1] if m else 0: d for m, d in P.items()}
+                return [R.get(i, 0) for i in range(max(R) + 1)]
+        for i, P in enumerate(polys):
+            pivot = _pivot(P, var)
+            if pivot:
+                break
+        else:
+            return None
+        u, c = pivot
+        minus_rest = {m: -d for m, d in polys.pop(i).items() if m != ((u, 1),)}
+        polys = [_eliminate(P, u, c, minus_rest) for P in polys]
+
+
+def _is_root(R: list, p: int, q: int) -> bool:
+    """Whether R(p/q) = 0, for p/q in lowest terms: q divides the
+    leading coefficient of R at every such root, and q^deg(R) R(p/q)
+    is taken by Horner's rule."""
+    if R[-1] % q:
+        return False
+    acc, qq = 0, 1
+    for r in reversed(R):
+        acc = acc * p + r * qq
+        qq *= q
+    return not acc
+
+
 def search_points(A, B, k: int, shape: SearchShape, height: int) -> tuple:
     """All curve points over the shape with enumerated coefficients of
     height at most height, deduplicated up to sign of y and sorted.
@@ -343,10 +441,13 @@ def search_points(A, B, k: int, shape: SearchShape, height: int) -> tuple:
         if var is None:
             solutions.append({v: Fraction(*pq) for v, pq in assign.items()})
         else:
-            # the values assigned so far stay fixed below this level
-            branch(var, ((v.numerator, v.denominator) for v in values),
-                   [(eq.bind(assign), unknown) for eq, unknown in unsettled],
-                   y_free)
+            # the values assigned so far stay fixed below this level, and
+            # a value that no solution takes is not walked
+            bound = [(eq.bind(assign), unknown) for eq, unknown in unsettled]
+            R = _screen(var, [eq for eq, _ in bound])
+            pairs = ((v.numerator, v.denominator) for v in values)
+            branch(var, pairs if R is None else
+                   [pq for pq in pairs if _is_root(R, *pq)], bound, y_free)
 
     def branch(var, pairs, unsettled, y_free):
         # every child assigns var and nothing else, so the children share

@@ -249,6 +249,91 @@ def test_search_output_pinned():
     assert digest == PINNED_SEARCH_SHA256
 
 
+#: sha256 of the FULL_SHAPE searches for k = 1..4 at height 8 over the
+#: six descent pairs of the oracle benchmark and a small grid; computed
+#: before each enumeration level was screened by a polynomial in its
+#: variable, so it pins that the found sets did not change.  At height 8
+#: far more levels enumerate than at the height 5 of the digest above
+PINNED_FULL_SHAPE_SHA256 = (
+    "ec1f245c67b09279096bdee0426390669ed682b8eb91cc2e9679d8bb3826b284")
+DESCENT_PAIRS = [(-3, 18), (-3, -18), (-12, 36), (-12, -36),
+                 (-27, 54), (-27, -54)]
+FULL_GRID = [(A, B) for A in (-27, -3, 1, 4) for B in (-3, 9, 16)]
+
+
+def test_full_shape_search_output_pinned():
+    lines = []
+    for A, B in DESCENT_PAIRS + FULL_GRID:
+        for k in (1, 2, 3, 4):
+            pts = search_points(A, B, k, FULL_SHAPE, 8)
+            lines.append(f"{A} {B} {k} "
+                         f"{'; '.join(P.to_str('s') for P in pts)}\n")
+    assert len(lines) == 72
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == PINNED_FULL_SHAPE_SHA256
+
+
+def _unscreened(*args):
+    """search_points(*args) with every level walking all its values."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(oracle, "_screen", lambda var, eqs: None)
+        return search_points(*args)
+
+
+@pytest.mark.parametrize("pairs,height", [(SEARCH_GRID, 6),
+                                          (DESCENT_PAIRS, 8)],
+                         ids=["grid-6", "descent-8"])
+def test_screen_drops_no_value_that_extends(pairs, height):
+    for A, B in pairs:
+        for k in (1, 2, 3, 4):
+            args = (A, B, k, FULL_SHAPE, height)
+            assert search_points(*args) == _unscreened(*args), args
+
+
+@settings(max_examples=30, deadline=None)
+@given(A=st.integers(-60, 60).filter(bool), B=st.integers(-60, 60).filter(bool),
+       k=st.sampled_from([1, 2, 3, 4]))
+def test_screen_drops_no_value_that_extends_drawn(A, B, k):
+    args = (A, B, k, FULL_SHAPE, 4)
+    assert search_points(*args) == _unscreened(*args)
+
+
+def test_screen_keeps_only_the_coefficient_of_the_known_point():
+    # (4s^2 - 8s + 1, 8s^3 - 24s^2 + 15s + 1) on (-27, 54), k = 1: at
+    # the a1 level with a0, a2, b0, b3 fixed to its values, s^1 and s^2
+    # fix b1 and b2 through constant pivots, and of the 87 values of
+    # height <= 8 only a1 = -8 is a root of what is left
+    assign = {"a0": (1, 1), "a2": (4, 1), "b0": (1, 1), "b3": (8, 1)}
+    bound = [eq.bind(assign) for eq in sigma_equations(-27, 54, 1, FULL_SHAPE)]
+    R = oracle._screen("a1", [eq for eq in bound if eq.vars])
+    kept = [v for v in heights_ordered(8)
+            if oracle._is_root(R, v.numerator, v.denominator)]
+    assert kept == [-8] and len(heights_ordered(8)) == 87
+    # and the search walks it to the point
+    assert [P.to_str("s") for P in search_points(-27, 54, 1, FULL_SHAPE, 8)
+            ] == ["(4*s^2 - 8*s + 1, 8*s^3 - 24*s^2 + 15*s + 1)"]
+
+
+def test_screen_is_none_without_a_polynomial_in_the_variable():
+    # no equation is in a0 alone, and none is linear in another unknown
+    # through a constant: the level walks every value
+    eq = _equation((1, ["a0", "b0", "b0"]), (1, ["b1", "b1"]), (-1, []))
+    assert oracle._screen("a0", [eq]) is None
+    # 2*b1 - a0 puts b1 = a0/2 into b1^2 - 1, scaled by 2^2: a0^2 - 4
+    pivot = _equation((2, ["b1"]), (-1, ["a0"]))
+    assert oracle._screen("a0", [pivot, _equation((1, ["b1", "b1"]), (-1, []))]
+                          ) == [-4, 0, 1]
+
+
+def test_is_root_finds_fractional_roots():
+    # 9v^2 - 4 has the roots +-2/3, whose denominator divides 9, not -4
+    R = [-4, 0, 9]
+    assert [(p, q) for p, q in [(2, 3), (-2, 3), (1, 3), (2, 1), (4, 9)]
+            if oracle._is_root(R, p, q)] == [(2, 3), (-2, 3)]
+    # a nonzero constant has no root
+    assert not oracle._is_root([5], 5, 1)
+
+
 def _equation(*monomials):
     return Equation(0, [(Fraction(c), tuple(ws)) for c, ws in monomials])
 
@@ -271,7 +356,9 @@ def test_descent_search_skips_solved_equations(monkeypatch):
     # here); the evaluations left are the leaves' checks of the
     # equations no root came from.  Only the subtrees whose first
     # nonzero b is positive are walked, since the others mirror them:
-    # both signs of y made 8,613 and 3,654 calls
+    # both signs of y made 8,613 and 3,654 calls.  Each a1 level walks
+    # only the roots of its screen, and here none extends to a leaf, so
+    # nothing is evaluated (4,437 coeffs_in and 1,827 evaluate before)
     calls = Counter()
     for name in ("evaluate", "coeffs_in"):
         def counting(self, *args, _method=getattr(Equation, name), _name=name):
@@ -279,7 +366,7 @@ def test_descent_search_skips_solved_equations(monkeypatch):
             return _method(self, *args)
         monkeypatch.setattr(Equation, name, counting)
     search_points(-3, 18, 1, FULL_SHAPE, 8)
-    assert calls == {"coeffs_in": 4437, "evaluate": 1827}
+    assert calls == {"coeffs_in": 348}
 
 
 def test_wrong_roots_are_caught_by_the_curve_check(monkeypatch):
@@ -309,8 +396,9 @@ def test_wrong_roots_are_caught_by_the_curve_check(monkeypatch):
     assert search_points(-27, 54, 1, FULL_SHAPE, 8) == ()
     # the search walks only paths whose first nonzero b is positive;
     # both signs of y gave 3,654 leaves here (shifted roots are not
-    # mirror images, so the count does not halve exactly)
-    assert len(checked) == 3045 and not any(checked)
+    # mirror images, so the count does not halve exactly), and the
+    # screens of the enumeration levels leave 5 of the 3,045 walked before
+    assert len(checked) == 5 and not any(checked)
 
 
 def test_search_rejects_bad_arguments():
