@@ -20,6 +20,7 @@ from .exactnum import OMEGA
 from .funcfield import (
     Poly,
     RatFunc,
+    cubic_holds_over_q,
     lift_to_ext,
     poly_gcd,
 )
@@ -113,11 +114,10 @@ class FunctionFieldCurve(NamedTuple):
     def contains(self, P: CurvePoint) -> bool:
         if P.is_infinity:
             return True
-        # y^2 = x^3 + C with denominators cleared: Poly products only, no
-        # gcd, so large coprime denominators cannot stall the test
-        (xn, xd), (yn, yd), (cn, cd) = ((f.num, f.den) for f in (P.x, P.y, self.C))
-        xd3 = xd * xd * xd
-        return yn * yn * xd3 * cd == (xn * xn * xn * cd + cn * xd3) * yd * yd
+        # over Q, y^2 = x^3 + C is decided on integer terms; the Poly
+        # identity below serves only the Q(sqrt(-3)) group-law references
+        held = cubic_holds_over_q(P.x, P.y, self.C)
+        return _poly_identity(P.x, P.y, self.C) if held is None else held
 
     def require_on_curve(self, P: CurvePoint):
         if not self.contains(P):
@@ -253,6 +253,14 @@ class FunctionFieldCurve(NamedTuple):
             kodaira=_KODAIRA[v_C],
             components_away=2 * (v_C - 1),
         )
+
+
+def _poly_identity(x: RatFunc, y: RatFunc, C: RatFunc) -> bool:
+    """Whether y^2 = x^3 + C, with denominators cleared by Poly products:
+    no gcd, so large coprime denominators cannot stall it."""
+    (xn, xd), (yn, yd), (cn, cd) = ((f.num, f.den) for f in (x, y, C))
+    xd3 = xd * xd * xd
+    return yn * yn * xd3 * cd == (xn * xn * xn * cd + cn * xd3) * yd * yd
 
 
 def _conj_ratfunc(f: RatFunc) -> RatFunc:

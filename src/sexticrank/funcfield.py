@@ -12,11 +12,16 @@ Q(sqrt(-3)) serves the group-law references that the tests compare the
 closed forms with.  On top sit a text form ("(3/2)*t^2 - 1") and a
 reader for the one shape of it that certificate points take, over Q
 and over a power of the variable, so a saved point can be re-checked.
+
+Two helpers serve the certificates: ``cubic_holds_over_q`` decides
+y^2 = x^3 + C on integer terms, and ``base_change_t6`` pulls a function
+back along s = t^6 by mapping its exponents.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional
 
 from .exactnum import QuadExt, excerpt
@@ -25,6 +30,8 @@ __all__ = [
     "Poly",
     "RatFunc",
     "poly_gcd",
+    "cubic_holds_over_q",
+    "base_change_t6",
     "parse_ratfunc",
     "parse_point",
     "lift_to_ext",
@@ -467,6 +474,66 @@ def restrict_to_rational(f: RatFunc) -> RatFunc:
         return c.a
 
     return RatFunc(f.num.map_coeffs(down), f.den.map_coeffs(down))
+
+
+# ---------------------------------------------------------------------------
+# certificate helpers
+# ---------------------------------------------------------------------------
+
+def _integer_terms(p: Poly):
+    """(d, {e: c*d}) for the least positive integer d that clears every
+    coefficient's denominator, or None when a coefficient is not in Q."""
+    d = 1
+    for _, c in p.terms:
+        if not isinstance(c, Fraction):
+            return None
+        d = lcm(d, c.denominator)
+    return d, {e: c.numerator * (d // c.denominator) for e, c in p.terms}
+
+
+def _times(P: dict, Q: dict) -> dict:
+    """The product of two exponent -> integer dicts."""
+    acc = {}
+    for i, a in P.items():
+        for j, b in Q.items():
+            acc[i + j] = acc.get(i + j, 0) + a * b
+    return acc
+
+
+def _scaled(P: dict, s: int) -> dict:
+    return P if s == 1 else {e: c * s for e, c in P.items()}
+
+
+def cubic_holds_over_q(x: RatFunc, y: RatFunc, C: RatFunc) -> Optional[bool]:
+    """Whether y^2 = x^3 + C, or None when a coefficient is outside Q.
+
+    Each of the six polynomials p is cleared to integer terms P over one
+    positive integer d, p = P/d, and yn^2 xd^3 cd = (xn^3 cd + cn xd^3) yd^2
+    is compared as products of those terms, each side scaled by the
+    cleared integers.  The answer is exact and takes no gcd, so large
+    coprime denominators cannot stall it.
+    """
+    cleared = [_integer_terms(p) for f in (x, y, C) for p in (f.num, f.den)]
+    if None in cleared:
+        return None
+    (dxn, xn), (dxd, xd), (dyn, yn), (dyd, yd), (dcn, cn), (dcd, cd) = cleared
+    xd3 = _times(_times(xd, xd), xd)
+    left = _scaled(_times(_times(_times(yn, yn), xd3), cd),
+                   dxn ** 3 * dcn * dyd ** 2)
+    right = _scaled(_times(_times(_times(xn, xn), xn), cd),
+                    dxd ** 3 * dcn * dyn ** 2)
+    for e, c in _scaled(_times(cn, xd3), dxn ** 3 * dcd * dyn ** 2).items():
+        right[e] = right.get(e, 0) + c
+    right = _times(right, _times(yd, yd))
+    nonzero = lambda P: {e: c for e, c in P.items() if c}
+    return nonzero(left) == nonzero(right)
+
+
+def base_change_t6(f: RatFunc, k: int) -> RatFunc:
+    """f(t^6) / t^k: each exponent e goes to 6e in the numerator and to
+    6e + k in the denominator, normalised once."""
+    return RatFunc(Poly._of((6 * e, c) for e, c in f.num.terms),
+                   Poly._of((6 * e + k, c) for e, c in f.den.terms))
 
 
 # ---------------------------------------------------------------------------

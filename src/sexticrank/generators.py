@@ -44,7 +44,13 @@ from typing import NamedTuple, Optional
 
 from .curve import CurvePoint, FunctionFieldCurve, O
 from .exactnum import excerpt, parse_rational
-from .funcfield import Poly, RatFunc, parse_point, restrict_to_rational
+from .funcfield import (
+    Poly,
+    RatFunc,
+    base_change_t6,
+    parse_point,
+    restrict_to_rational,
+)
 from .rankalg import CRITERIA, RankBreakdown, rank_breakdown
 
 __all__ = [
@@ -197,17 +203,14 @@ def base_change_embed(P: CurvePoint, k: int) -> CurvePoint:
 
     The map is the degree-6 base change s = t^6, then the twist
     (x, y) -> (x/t^2k, y/t^3k), which takes y^2 = x^3 + t^6k (A t^6 + B)
-    onto the sextic.  Both steps map exponents: the substitution sends
-    each exponent e to 6e and the twist shifts each denominator's
-    exponents by 2k or 3k, so a point over a monomial denominator stays
-    over one.
+    onto the sextic.  Both steps map exponents (``base_change_t6``): the
+    substitution sends each exponent e to 6e and the twist moves each
+    denominator's exponents on by 2k or 3k, so a point over a monomial
+    denominator stays over one.
     """
     if P.is_infinity:
         return P
-    inner = RatFunc(Poly.monomial(1, 6))
-    x, y = P.x.substitute(inner), P.y.substitute(inner)
-    return CurvePoint(RatFunc(x.num, x.den.shift(2 * k)),
-                      RatFunc(y.num, y.den.shift(3 * k)))
+    return CurvePoint(base_change_t6(P.x, 2 * k), base_change_t6(P.y, 3 * k))
 
 
 #: fiber positions tried when certifying nonvanishing by specialization

@@ -262,6 +262,13 @@ def heights_ordered(height: int) -> tuple:
                        v.numerator)))
 
 
+@lru_cache(maxsize=4)
+def _height_pairs(height: int) -> tuple:
+    """heights_ordered(height) as reduced pairs (p, q), q > 0, the form
+    the search assigns, built once per height."""
+    return tuple((v.numerator, v.denominator) for v in heights_ordered(height))
+
+
 def _solve_single(eq: Equation, var: str, assign):
     """Solve eq = 0 for its one unassigned variable.
 
@@ -416,7 +423,7 @@ def search_points(A, B, k: int, shape: SearchShape, height: int) -> tuple:
         raise ValueError(f"height {height} is above the limit of {MAX_HEIGHT}")
     eqs = sigma_equations(A, B, k, shape)
     variables = shape.variables()
-    values = heights_ordered(height)
+    values = _height_pairs(height)
     solutions = []
     assign = {}
 
@@ -445,9 +452,8 @@ def search_points(A, B, k: int, shape: SearchShape, height: int) -> tuple:
             # a value that no solution takes is not walked
             bound = [(eq.bind(assign), unknown) for eq, unknown in unsettled]
             R = _screen(var, [eq for eq, _ in bound])
-            pairs = ((v.numerator, v.denominator) for v in values)
-            branch(var, pairs if R is None else
-                   [pq for pq in pairs if _is_root(R, *pq)], bound, y_free)
+            branch(var, values if R is None else
+                   [pq for pq in values if _is_root(R, *pq)], bound, y_free)
 
     def branch(var, pairs, unsettled, y_free):
         # every child assigns var and nothing else, so the children share

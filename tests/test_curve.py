@@ -8,9 +8,17 @@ from sexticrank.curve import (
     CurvePoint,
     FunctionFieldCurve,
     O,
+    _poly_identity,
 )
 from sexticrank.exactnum import OMEGA, QuadExt
-from sexticrank.funcfield import Poly, RatFunc, parse_point
+from sexticrank.funcfield import (
+    Poly,
+    RatFunc,
+    cubic_holds_over_q,
+    lift_to_ext,
+    parse_point,
+)
+from sexticrank.generators import base_change_embed, full_certificate
 
 
 def const_point(x, y):
@@ -70,6 +78,69 @@ def test_membership_with_general_denominators():
     assert not E.contains(CurvePoint(x, y / (t + 2)))
     assert not FunctionFieldCurve(y * y - x * x * x + 2).contains(
         CurvePoint(x, y))
+
+
+# -- membership over Q against the Poly identity ------------------------------
+
+#: the pairs whose certificates tests/test_cli.py pins
+#: (PINNED_CERTIFICATE_SHA256)
+PINNED_PAIRS = [(8, 9), (-3, 1), (4, 4), (1, 16), (-27, -432), (1, -27)]
+
+#: a 2,000-digit denominator, prime to the witnesses' denominators 4 and 8
+BIG_DENOMINATOR = 10 ** 1999 + 1
+
+
+def pinned_witnesses():
+    """(curve, point) for every subfamily and embedded witness of the
+    pinned pairs."""
+    out = []
+    for A, B in PINNED_PAIRS:
+        sextic = FunctionFieldCurve.sextic(A, B)
+        for w in full_certificate(A, B).witnesses:
+            out.append((w.curve, w.point))
+            out.append((sextic, base_change_embed(w.point, w.k)))
+    return out
+
+
+def perturbed(P):
+    """Copies of P off its curve: a coefficient of x plus 1/3, y + 1, x's
+    denominator exponent moved by one, and a coefficient of x plus
+    1/BIG_DENOMINATOR."""
+    (e, _), *_ = P.x.num.items()
+
+    def x_plus(c):
+        return CurvePoint(RatFunc(P.x.num + Poly.monomial(c, e), P.x.den), P.y)
+
+    return [x_plus(Fraction(1, 3)),
+            CurvePoint(P.x, P.y + 1),
+            CurvePoint(RatFunc(P.x.num, P.x.den.shift(1)), P.y),
+            x_plus(Fraction(1, BIG_DENOMINATOR))]
+
+
+def test_integer_membership_is_the_poly_identity():
+    # over Q, contains decides y^2 = x^3 + C on integer terms; the Poly
+    # identity, which serves the Q(sqrt(-3)) references, is its reference
+    cases = pinned_witnesses()
+    assert len(cases) == 24
+    # and a point with coefficients of distinct denominators in each of
+    # the six polynomials, so each is cleared by a different integer
+    t = RatFunc.variable()
+    x = (t / 2 + Fraction(1, 3)) / (t * t + Fraction(2, 5))
+    y = (t * t * t / 7 + Fraction(1, 4)) / (t + Fraction(3, 11))
+    cases.append((FunctionFieldCurve(y * y - x * x * x), CurvePoint(x, y)))
+    for E, P in cases:
+        for Q, on in [(P, True)] + [(Q, False) for Q in perturbed(P)]:
+            held = cubic_holds_over_q(Q.x, Q.y, E.C)
+            assert held is _poly_identity(Q.x, Q.y, E.C) is on, (E, Q)
+            assert E.contains(Q) is on
+
+
+def test_membership_outside_q_takes_the_poly_identity():
+    E, P = pinned_witnesses()[0]
+    lifted = CurvePoint(lift_to_ext(P.x), lift_to_ext(P.y))
+    assert cubic_holds_over_q(lifted.x, lifted.y, E.C) is None
+    assert E.contains(lifted)
+    assert not E.contains(CurvePoint(lifted.x, lifted.y + OMEGA))
 
 
 # -- group law on a curve with known arithmetic -------------------------------

@@ -223,6 +223,35 @@ def test_embed_to_sextic():
     assert W.to_str("t") == "(4/(t^2), (t^6 + 8)/(t^3))"
 
 
+def substitute_then_shift(P, k):
+    """The base change built the long way: s = t^6 through
+    RatFunc.substitute, then a second RatFunc with each denominator
+    moved by t^2k for x and t^3k for y."""
+    inner = RatFunc(Poly.monomial(1, 6))
+    x, y = P.x.substitute(inner), P.y.substitute(inner)
+    return CurvePoint(RatFunc(x.num, x.den.shift(2 * k)),
+                      RatFunc(y.num, y.den.shift(3 * k)))
+
+
+def test_embed_is_substitute_then_shift():
+    # the pairs whose certificates tests/test_cli.py pins
+    # (PINNED_CERTIFICATE_SHA256)
+    pinned = [(8, 9), (-3, 1), (4, 4), (1, 16), (-27, -432), (1, -27)]
+    cases = [(w.point, w.k) for A, B in pinned
+             for w in full_certificate(A, B).witnesses]
+    assert len(cases) == 12
+    # non-monomial denominators, and numerators divisible by t that the
+    # twist's power of t partly cancels
+    t = RatFunc.variable()
+    x, y = t * t / (t + 1), (3 * t - 1) / (t * t + Fraction(1, 2))
+    cases += [(CurvePoint(x, y), k) for k in range(1, 5)]
+    for P, k in cases:
+        embedded = base_change_embed(P, k)
+        assert embedded == substitute_then_shift(P, k), (P, k)
+        assert embedded.to_str("t") == substitute_then_shift(P, k).to_str("t")
+    assert base_change_embed(O, 3) == O
+
+
 def test_embed_twists_by_shifting_the_denominator(monkeypatch):
     # the twist (x, y) -> (x/t^2k, y/t^3k) moves the denominators only:
     # no RatFunc quotient is taken

@@ -352,21 +352,21 @@ def test_solve_single_returns_roots_or_none(eq, assign, expect):
 
 def test_descent_search_skips_solved_equations(monkeypatch):
     # a root is exact, so the equation it was solved from is not
-    # evaluated again below it (re-checking them made 11,018 calls
+    # evaluated again below it (re-checking them made 30 evaluate calls
     # here); the evaluations left are the leaves' checks of the
     # equations no root came from.  Only the subtrees whose first
-    # nonzero b is positive are walked, since the others mirror them:
-    # both signs of y made 8,613 and 3,654 calls.  Each a1 level walks
-    # only the roots of its screen, and here none extends to a leaf, so
-    # nothing is evaluated (4,437 coeffs_in and 1,827 evaluate before)
+    # nonzero b is positive are walked, since the others mirror them,
+    # and each a1 level walks only the roots of its screen.  (-27, 54)
+    # has a descent point, so paths reach a leaf, unlike (-3, 18), whose
+    # search evaluates nothing and so could not show a re-check
     calls = Counter()
     for name in ("evaluate", "coeffs_in"):
         def counting(self, *args, _method=getattr(Equation, name), _name=name):
             calls[_name] += 1
             return _method(self, *args)
         monkeypatch.setattr(Equation, name, counting)
-    search_points(-3, 18, 1, FULL_SHAPE, 8)
-    assert calls == {"coeffs_in": 348}
+    assert len(search_points(-27, 54, 1, FULL_SHAPE, 8)) == 1
+    assert calls == {"coeffs_in": 350, "evaluate": 3}
 
 
 def test_wrong_roots_are_caught_by_the_curve_check(monkeypatch):
